@@ -11,11 +11,16 @@
 //     event — the two heap allocations the old Simulator::schedule_at made;
 //   * timer churn: the binary heap itself — schedule+cancel of short-
 //     horizon flow timers against a standing population, which the
-//     hierarchical timer wheel replaces with O(1) slot splices.
+//     hierarchical timer wheel replaces with O(1) slot splices;
+//   * trace render+hash: the checker's per-record stream-hash step as it
+//     was — snprintf the canonical line into a std::string, append '\n'
+//     (a second string), FNV-1a the copy — against obs::render_jsonl into
+//     a reused buffer, folded in place.
 //
-// Verdict (exit status): 0 iff the k=3 duplicate+hash fan-out AND the
-// wheel's schedule+cancel churn both show at least a 2x reduction versus
-// the baselines measured in the same run.
+// Verdict (exit status): 0 iff the k=3 duplicate+hash fan-out, the
+// wheel's schedule+cancel churn AND the trace render+hash each show at
+// least a 2x reduction versus the baselines measured in the same run (and
+// the two trace paths hash to the same value).
 //
 // Env knobs:
 //   NETCO_BENCH_QUICK=1   — short CI-sized timing windows
@@ -26,12 +31,15 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/rng.h"
 #include "net/packet.h"
+#include "obs/trace.h"
 #include "sim/simulator.h"
 #include "sim/timer_wheel.h"
 
@@ -244,6 +252,92 @@ Comparison bench_timer_wheel(double min_seconds) {
   return result;
 }
 
+/// The canonical trace line as the checker used to build it: an snprintf
+/// of the fixed fields, the component appended, no trailing newline.
+std::string legacy_to_json(const obs::TraceRecord& record) {
+  char head[160];
+  const int n = std::snprintf(
+      head, sizeof head,
+      "{\"t\":%lld,\"ev\":\"%s\",\"pkt\":\"%016llx\",\"replica\":%d,"
+      "\"bytes\":%u,\"src\":\"",
+      static_cast<long long>(record.at_ns), obs::to_string(record.event),
+      static_cast<unsigned long long>(record.packet_id), record.replica,
+      record.bytes);
+  std::string out(head, static_cast<std::size_t>(n));
+  out += record.component;
+  out += "\"}";
+  return out;
+}
+
+/// A fixed k=5 record mix: per datagram, what a full-verification k=5 soak
+/// narrates — the ingress edge's 5 replica forwards, one forward per
+/// replica, 5 compare ingests, the majority release, 2 late copies, the
+/// cache expiry and the egress forward (20 records, ~108 bytes a line).
+std::vector<obs::TraceRecord> k5_record_mix(std::size_t datagrams) {
+  Rng rng(45);
+  std::vector<obs::TraceRecord> mix;
+  const auto add = [&](std::int64_t at_ns, obs::TraceEvent event,
+                       std::uint64_t id, std::int32_t replica,
+                       const char* component) {
+    mix.push_back({at_ns, event, id, replica, 242, component});
+  };
+  const char* const replicas[] = {"netco-r0", "netco-r1", "netco-r2",
+                                  "netco-r3", "netco-r4"};
+  for (std::size_t d = 0; d < datagrams; ++d) {
+    using obs::TraceEvent;
+    const std::uint64_t id = rng.next_u64();
+    const auto t = static_cast<std::int64_t>(1'000'000'000 + d * 160'000);
+    for (std::int32_t r = 1; r <= 5; ++r) {
+      add(t, TraceEvent::kReplicaForward, id, r, "netco-e0");
+    }
+    for (const char* replica : replicas) {
+      add(t + 40'000, TraceEvent::kReplicaForward, id, 1, replica);
+    }
+    for (std::int32_t r = 0; r < 5; ++r) {
+      const std::int64_t at = t + 80'000 + r * 1'000;
+      add(at, TraceEvent::kCompareIngest, id, r, "compare/netco-e1");
+      if (r == 2) {
+        add(at, TraceEvent::kCompareRelease, id, r, "compare/netco-e1");
+        add(at, TraceEvent::kReplicaForward, id, 0, "netco-e1");
+      } else if (r > 2) {
+        add(at, TraceEvent::kCompareLate, id, r, "compare/netco-e1");
+      }
+    }
+    add(t + 50'000'000, TraceEvent::kCompareExpire, id, -1,
+        "compare/netco-e1");
+  }
+  return mix;
+}
+
+/// Per-record cost of the checker's stream-hash step over the k=5 mix;
+/// `hashes` receives each path's final hash (they must agree).
+Comparison bench_trace_render(double min_seconds, std::uint64_t (&hashes)[2]) {
+  const std::vector<obs::TraceRecord> mix = k5_record_mix(64);
+  const auto batch = static_cast<std::uint64_t>(mix.size());
+
+  Comparison result;
+  result.baseline_ns = time_per_item(min_seconds, batch, [&](std::uint64_t) {
+    std::uint64_t hash = kFnvOffset;
+    for (const obs::TraceRecord& record : mix) {
+      const std::string line = legacy_to_json(record) + '\n';
+      hash = fnv1a(std::as_bytes(std::span(line.data(), line.size())), hash);
+    }
+    hashes[0] = hash;
+    consume(hash);
+  });
+  std::string buffer;
+  result.optimized_ns = time_per_item(min_seconds, batch, [&](std::uint64_t) {
+    std::uint64_t hash = kFnvOffset;
+    for (const obs::TraceRecord& record : mix) {
+      const std::string_view line = obs::render_jsonl(record, buffer);
+      hash = fnv1a(std::as_bytes(std::span(line.data(), line.size())), hash);
+    }
+    hashes[1] = hash;
+    consume(hash);
+  });
+  return result;
+}
+
 }  // namespace
 
 int main() {
@@ -260,6 +354,9 @@ int main() {
   const Comparison sched = bench_scheduler(min_seconds, kPayload);
   const double cancel_ns = bench_cancel(min_seconds);
   const Comparison wheel = bench_timer_wheel(min_seconds);
+  std::uint64_t trace_hashes[2] = {};
+  const Comparison trace = bench_trace_render(min_seconds, trace_hashes);
+  const bool trace_same_bytes = trace_hashes[0] == trace_hashes[1];
 
   std::printf("fan-out (k=%d dup+hash): deep-copy %.1f ns/pkt -> COW %.1f "
               "ns/pkt  (%.1fx)\n",
@@ -276,8 +373,12 @@ int main() {
   std::printf("timer churn (32k bg):   heap     %.1f ns/ev  -> wheel     "
               "%.1f ns/ev  (%.1fx)\n",
               wheel.baseline_ns, wheel.optimized_ns, wheel.speedup());
+  std::printf("trace render+hash (k5): snprintf %.1f ns/rec -> in place "
+              "%.1f ns/rec (%.1fx)%s\n",
+              trace.baseline_ns, trace.optimized_ns, trace.speedup(),
+              trace_same_bytes ? "" : "  HASH MISMATCH");
 
-  char json[1280];
+  char json[1536];
   std::snprintf(
       json, sizeof json,
       "{\"bench\":\"hotpath\",\"quick\":%s,\"payload_bytes\":%zu,"
@@ -289,12 +390,17 @@ int main() {
       "\"fastpath_ns_per_event\":%.2f,\"speedup\":%.2f,"
       "\"schedule_cancel_ns_per_event\":%.2f},"
       "\"timer_wheel\":{\"heap_ns_per_event\":%.2f,"
-      "\"wheel_ns_per_event\":%.2f,\"speedup\":%.2f}}",
+      "\"wheel_ns_per_event\":%.2f,\"speedup\":%.2f},"
+      "\"trace_render_hash_k5\":{\"snprintf_string_ns_per_record\":%.2f,"
+      "\"in_place_ns_per_record\":%.2f,\"speedup\":%.2f,"
+      "\"same_hash\":%s}}",
       quick ? "true" : "false", kPayload, kFanout, fanout.baseline_ns,
       fanout.optimized_ns, fanout.speedup(), hash.baseline_ns,
       hash.optimized_ns, hash.speedup(), sched.baseline_ns,
       sched.optimized_ns, sched.speedup(), cancel_ns, wheel.baseline_ns,
-      wheel.optimized_ns, wheel.speedup());
+      wheel.optimized_ns, wheel.speedup(), trace.baseline_ns,
+      trace.optimized_ns, trace.speedup(),
+      trace_same_bytes ? "true" : "false");
 
   const char* out_path = std::getenv("NETCO_HOTPATH_OUT");
   if (out_path == nullptr || *out_path == '\0') {
@@ -309,13 +415,16 @@ int main() {
   }
 
   // The acceptance bars: the k=3 duplicate+hash fan-out must be ≥ 2x
-  // cheaper than the deep-copy baseline, and the timer wheel must clear a
-  // ≥ 2x schedule+cancel throughput bar over the binary heap — both
-  // measured in this run.
-  const bool pass = fanout.speedup() >= 2.0 && wheel.speedup() >= 2.0;
+  // cheaper than the deep-copy baseline, the timer wheel must clear a
+  // ≥ 2x schedule+cancel throughput bar over the binary heap, and the
+  // in-place trace render+hash must be ≥ 2x cheaper than the snprintf +
+  // string path while hashing the same bytes — all measured in this run.
+  const bool pass = fanout.speedup() >= 2.0 && wheel.speedup() >= 2.0 &&
+                    trace.speedup() >= 2.0 && trace_same_bytes;
   std::printf(
-      "\nHot-path verdict: %s (fan-out %.1fx, timer wheel %.1fx, bar 2.0x "
-      "each)\n",
-      pass ? "PASS" : "FAIL", fanout.speedup(), wheel.speedup());
+      "\nHot-path verdict: %s (fan-out %.1fx, timer wheel %.1fx, trace "
+      "render+hash %.1fx, bar 2.0x each)\n",
+      pass ? "PASS" : "FAIL", fanout.speedup(), wheel.speedup(),
+      trace.speedup());
   return pass ? 0 : 1;
 }

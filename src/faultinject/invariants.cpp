@@ -92,36 +92,65 @@ void check_audit(const core::CompareAudit& audit, const std::string& where,
   }
 }
 
-const QuorumTraceChecker::EgressGroup& QuorumTraceChecker::egress_group(
-    const std::string& component) {
-  const auto hit = group_by_component_.find(component);
-  if (hit != group_by_component_.end()) return hit->second;
+std::uint32_t QuorumTraceChecker::intern(const std::string& component) {
+  const auto hit = component_ids_.find(component);
+  if (hit != component_ids_.end()) return hit->second;
   // Cold path: a component seen for the first time. Group by the wire:
   // "compare/netco-e0" and "standby/netco-e0" both emit onto edge
   // netco-e0, so they must intern to the same group.
   const std::size_t slash = component.find('/');
   const std::string suffix =
       slash == std::string::npos ? component : component.substr(slash + 1);
-  auto [git, inserted] = group_by_suffix_.try_emplace(suffix);
-  if (inserted) {
-    git->second.id = group_by_suffix_.size() - 1;
-    git->second.name_fnv =
-        fnv1a(std::as_bytes(std::span(suffix.data(), suffix.size())));
-    last_release_.resize(group_by_suffix_.size());
+  const auto group = group_ids_.try_emplace(
+      suffix, static_cast<std::uint32_t>(group_ids_.size()));
+  components_.push_back(
+      {group.first->second,
+       fnv1a(std::as_bytes(std::span(suffix.data(), suffix.size())))});
+  const auto id = static_cast<std::uint32_t>(components_.size() - 1);
+  component_ids_.emplace(component, id);
+  return id;
+}
+
+void QuorumTraceChecker::audit_window(const obs::TraceRecord& record,
+                                      std::uint32_t group, const char* what) {
+  // Prune entries that fell out of the window; forget a mapped time only
+  // if no newer one overwrote it.
+  while (!release_log_.empty() &&
+         record.at_ns - std::get<0>(release_log_.front()) >
+             config_.duplicate_window_ns) {
+    const auto& [ns, gid, id] = release_log_.front();
+    const std::int64_t* last = last_release_.find(gid, id);
+    if (last != nullptr && *last == ns) last_release_.erase(gid, id);
+    release_log_.pop_front();
   }
-  return group_by_component_.emplace(component, git->second).first->second;
+  ++report_.checks;
+  const std::int64_t* last = last_release_.find(group, record.packet_id);
+  if (last != nullptr &&
+      record.at_ns - *last <= config_.duplicate_window_ns) {
+    ++duplicates_;
+    char buf[160];
+    std::snprintf(buf, sizeof buf,
+                  "%s: %s %016llx at t=%lld (previous t=%lld)",
+                  record.component.c_str(), what,
+                  static_cast<unsigned long long>(record.packet_id),
+                  static_cast<long long>(record.at_ns),
+                  static_cast<long long>(*last));
+    report_.note(buf);
+  }
+  last_release_(group, record.packet_id) = record.at_ns;
+  release_log_.emplace_back(record.at_ns, group, record.packet_id);
 }
 
 void QuorumTraceChecker::append(const obs::TraceRecord& record) {
   ++records_;
-  const std::string line = obs::to_json(record) + '\n';
+  const std::string_view line = obs::render_jsonl(record, line_);
   hash_ = fnv1a(std::as_bytes(std::span(line.data(), line.size())), hash_);
   if (tee_ != nullptr) tee_->append(record);
 
   switch (record.event) {
     case obs::TraceEvent::kCompareIngest:
       if (record.replica >= 0 && record.replica < 64) {
-        votes_[record.component][record.packet_id] |=
+        votes_(intern(record.component), record.packet_id) |=
             1ULL << static_cast<unsigned>(record.replica);
       }
       break;
@@ -130,15 +159,9 @@ void QuorumTraceChecker::append(const obs::TraceRecord& record) {
       const bool fastpath = record.event == obs::TraceEvent::kCompareFastpath;
       ++releases_;
       ++report_.checks;
-      const auto comp = votes_.find(record.component);
-      const std::uint64_t mask =
-          comp != votes_.end()
-              ? [&] {
-                  const auto it = comp->second.find(record.packet_id);
-                  return it != comp->second.end() ? it->second : 0ULL;
-                }()
-              : 0ULL;
-      std::uint64_t counted = mask;
+      const std::uint32_t component = intern(record.component);
+      const std::uint64_t* votes = votes_.find(component, record.packet_id);
+      std::uint64_t counted = votes != nullptr ? *votes : 0;
       // A fast-path release record names its deciding replica — the vote
       // that tripped the release rule rides the release record instead of
       // a separate ingest record (the sampled mode's trace thinning).
@@ -173,87 +196,31 @@ void QuorumTraceChecker::append(const obs::TraceRecord& record) {
                       static_cast<long long>(record.at_ns));
         report_.note(buf);
       }
-      const EgressGroup& group = egress_group(record.component);
-      egress_hash_ += hash_mix(record.packet_id, group.name_fnv);
+      const Component& info = components_[component];
+      egress_hash_ += hash_mix(record.packet_id, info.group_fnv);
       if (config_.check_duplicates) {
-        // Prune releases that fell out of the window; forget a mapped
-        // time only if no newer release overwrote it.
-        while (!release_log_.empty() &&
-               record.at_ns - std::get<0>(release_log_.front()) >
-                   config_.duplicate_window_ns) {
-          const auto& [ns, gid, id] = release_log_.front();
-          auto& stale = last_release_[gid];
-          const auto iit = stale.find(id);
-          if (iit != stale.end() && iit->second == ns) stale.erase(iit);
-          release_log_.pop_front();
-        }
-        ++report_.checks;
-        auto& per_group = last_release_[group.id];
-        const auto it = per_group.find(record.packet_id);
-        if (it != per_group.end() &&
-            record.at_ns - it->second <= config_.duplicate_window_ns) {
-          ++duplicates_;
-          char buf[160];
-          std::snprintf(
-              buf, sizeof buf,
-              "%s: duplicate egress of %016llx at t=%lld (previous t=%lld)",
-              record.component.c_str(),
-              static_cast<unsigned long long>(record.packet_id),
-              static_cast<long long>(record.at_ns),
-              static_cast<long long>(it->second));
-          report_.note(buf);
-        }
-        per_group[record.packet_id] = record.at_ns;
-        release_log_.emplace_back(record.at_ns, group.id, record.packet_id);
+        audit_window(record, info.group, "duplicate egress of");
       }
       break;
     }
-    case obs::TraceEvent::kFailoverReroute: {
+    case obs::TraceEvent::kFailoverReroute:
       ++reroutes_;
-      if (!config_.check_duplicates || !config_.audit_reroutes) break;
       // Same duplicate-window audit as egress, keyed by the emitting
       // switch: every detour hop rewrites the VID (new content hash), so
       // a repeat of the same id at the same switch is a genuine loop.
-      const EgressGroup& group = egress_group(record.component);
-      while (!release_log_.empty() &&
-             record.at_ns - std::get<0>(release_log_.front()) >
-                 config_.duplicate_window_ns) {
-        const auto& [ns, gid, id] = release_log_.front();
-        auto& stale = last_release_[gid];
-        const auto iit = stale.find(id);
-        if (iit != stale.end() && iit->second == ns) stale.erase(iit);
-        release_log_.pop_front();
+      if (config_.check_duplicates && config_.audit_reroutes) {
+        audit_window(record, components_[intern(record.component)].group,
+                     "reroute loop on");
       }
-      ++report_.checks;
-      auto& per_group = last_release_[group.id];
-      const auto it = per_group.find(record.packet_id);
-      if (it != per_group.end() &&
-          record.at_ns - it->second <= config_.duplicate_window_ns) {
-        ++duplicates_;
-        char buf[160];
-        std::snprintf(
-            buf, sizeof buf,
-            "%s: reroute loop on %016llx at t=%lld (previous t=%lld)",
-            record.component.c_str(),
-            static_cast<unsigned long long>(record.packet_id),
-            static_cast<long long>(record.at_ns),
-            static_cast<long long>(it->second));
-        report_.note(buf);
-      }
-      per_group[record.packet_id] = record.at_ns;
-      release_log_.emplace_back(record.at_ns, group.id, record.packet_id);
       break;
-    }
     case obs::TraceEvent::kCompareEvictTimeout:
     case obs::TraceEvent::kCompareEvictCapacity:
     case obs::TraceEvent::kCompareEvictQuota:
-    case obs::TraceEvent::kCompareExpire: {
-      // The cache entry is gone; forget its votes so the map stays
+    case obs::TraceEvent::kCompareExpire:
+      // The cache entry is gone; forget its votes so the table stays
       // bounded by the live cache size.
-      const auto comp = votes_.find(record.component);
-      if (comp != votes_.end()) comp->second.erase(record.packet_id);
+      votes_.erase(intern(record.component), record.packet_id);
       break;
-    }
     case obs::TraceEvent::kHealthQuarantine:
     case obs::TraceEvent::kHealthBan:
       if (record.replica >= 0 && record.replica < 64) {

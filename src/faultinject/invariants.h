@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "faultinject/packet_table.h"
 #include "netco/compare_core.h"
 #include "obs/trace.h"
 
@@ -108,8 +109,10 @@ class QuorumTraceChecker final : public obs::TraceSink {
   /// failover.reroute records seen (static backup layer detours).
   [[nodiscard]] std::uint64_t reroutes() const noexcept { return reroutes_; }
 
-  /// FNV-1a over the canonical JSON of every record seen so far — equal
-  /// hashes across two runs mean byte-identical trace streams.
+  /// FNV-1a over the canonical JSONL (obs::render_jsonl) of every record
+  /// seen so far — equal hashes across two runs mean byte-identical trace
+  /// streams, and the hash equals fnv1a() of a RingBufferSink::serialize()
+  /// of the same records.
   [[nodiscard]] std::uint64_t stream_hash() const noexcept { return hash_; }
 
   /// Order-independent digest of every egress event: a wrapping sum of
@@ -123,6 +126,23 @@ class QuorumTraceChecker final : public obs::TraceSink {
   }
 
  private:
+  /// An interned component name: its dense id indexes components_. Egress
+  /// groups (the component's suffix after '/') are interned alongside, with
+  /// their name-FNV precomputed — release records are the hot path of a
+  /// sampled soak, so nothing per record re-hashes or re-substrings a name.
+  struct Component {
+    std::uint32_t group = 0;     ///< dense egress-group id
+    std::uint64_t group_fnv = 0; ///< fnv1a of the group name
+  };
+  [[nodiscard]] std::uint32_t intern(const std::string& component);
+
+  /// The duplicate-window audit shared by egress releases and reroutes:
+  /// prunes the log to the window, notes a repeat of the packet in `group`
+  /// inside it as "<component>: <what> <packet> at t=... (previous t=...)",
+  /// and logs this record.
+  void audit_window(const obs::TraceRecord& record, std::uint32_t group,
+                    const char* what);
+
   Config config_;
   obs::TraceSink* tee_;
   InvariantReport report_;
@@ -130,32 +150,23 @@ class QuorumTraceChecker final : public obs::TraceSink {
   std::uint64_t releases_ = 0;
   std::uint64_t hash_ = kFnvOffset;
   std::uint64_t egress_hash_ = 0;
+  std::string line_;  ///< render_jsonl() scratch, reused across records
   /// Bit per replica currently quarantined or banned (config_.k mode).
   std::uint64_t quarantined_mask_ = 0;
-  /// component → packet id → replica vote bitmask. Entries die with their
-  /// cache entry (release verdict, eviction, or expiry), so the map is
-  /// bounded by the compare caches' live size.
-  std::unordered_map<std::string,
-                     std::unordered_map<std::uint64_t, std::uint64_t>>
-      votes_;
-  /// Egress groups (component suffix after '/') interned to dense ids with
-  /// their name-FNV precomputed: release records are the hot path of a
-  /// sampled soak, and re-hashing / re-substringing the component per
-  /// record dominated the checker's cost before interning.
-  struct EgressGroup {
-    std::size_t id = 0;
-    std::uint64_t name_fnv = 0;
-  };
-  [[nodiscard]] const EgressGroup& egress_group(const std::string& component);
-  std::unordered_map<std::string, EgressGroup> group_by_component_;
-  std::unordered_map<std::string, EgressGroup> group_by_suffix_;
-  /// Duplicate-egress tracking (check_duplicates mode): per egress group,
-  /// packet id → last release time, plus a pruning log so the maps stay
+  std::unordered_map<std::string, std::uint32_t> component_ids_;
+  std::vector<Component> components_;
+  std::unordered_map<std::string, std::uint32_t> group_ids_;
+  /// (component, packet id) → replica vote bitmask. Entries die with their
+  /// cache entry (eviction or expiry), so the table is bounded by the
+  /// compare caches' live size.
+  PacketTable<std::uint64_t> votes_;
+  /// Duplicate-egress tracking (check_duplicates mode): (egress group,
+  /// packet id) → last release time, plus a pruning log so the table stays
   /// bounded by the window's release volume.
   std::uint64_t duplicates_ = 0;
   std::uint64_t reroutes_ = 0;
-  std::vector<std::unordered_map<std::uint64_t, std::int64_t>> last_release_;
-  std::deque<std::tuple<std::int64_t, std::size_t, std::uint64_t>>
+  PacketTable<std::int64_t> last_release_;
+  std::deque<std::tuple<std::int64_t, std::uint32_t, std::uint64_t>>
       release_log_;
 };
 

@@ -1,12 +1,16 @@
 #include "obs/trace.h"
 
+#include <charconv>
 #include <cstdio>
+#include <cstring>
 
 #include "common/assert.h"
 
 namespace netco::obs {
 
-const char* to_string(TraceEvent event) noexcept {
+namespace {
+
+constexpr std::string_view event_name(TraceEvent event) noexcept {
   switch (event) {
     case TraceEvent::kHubIngress: return "hub.ingress";
     case TraceEvent::kHubMerge: return "hub.merge";
@@ -56,19 +60,80 @@ const char* to_string(TraceEvent event) noexcept {
   return "unknown";
 }
 
+/// Bytes of a rendered line other than the component: the field names and
+/// quotes, the longest event name, and every number at its widest
+/// (INT64_MIN, 16 hex digits, INT32_MIN, UINT32_MAX), with slack.
+constexpr std::size_t kLineFixedBytes = 160;
+
+constexpr std::size_t longest_event_name() noexcept {
+  std::size_t longest = 0;
+  for (int e = 0; e <= static_cast<int>(TraceEvent::kFailoverReroute); ++e) {
+    const std::size_t n = event_name(static_cast<TraceEvent>(e)).size();
+    longest = n > longest ? n : longest;
+  }
+  return longest;
+}
+// Punctuation, field names and newline (53), then t, pkt, replica, bytes.
+static_assert(kLineFixedBytes >= 53 + 20 + 16 + 11 + 10 + longest_event_name(),
+              "kLineFixedBytes no longer covers the widest fixed fields");
+
+template <std::size_t N>
+char* put(char* out, const char (&literal)[N]) noexcept {
+  std::memcpy(out, literal, N - 1);
+  return out + (N - 1);
+}
+
+char* put(char* out, std::string_view text) noexcept {
+  std::memcpy(out, text.data(), text.size());
+  return out + text.size();
+}
+
+template <typename Int>
+char* put_decimal(char* out, Int value) noexcept {
+  // 20 chars hold any 64-bit value in decimal, sign included.
+  return std::to_chars(out, out + 20, value).ptr;
+}
+
+/// %016llx: fixed-width packet ids so streams diff cleanly.
+char* put_hex16(char* out, std::uint64_t value) noexcept {
+  constexpr char kDigits[] = "0123456789abcdef";
+  for (int i = 15; i >= 0; --i) {
+    out[i] = kDigits[value & 0xF];
+    value >>= 4;
+  }
+  return out + 16;
+}
+
+}  // namespace
+
+const char* to_string(TraceEvent event) noexcept {
+  return event_name(event).data();  // the names are string literals
+}
+
+std::string_view render_jsonl(const TraceRecord& record, std::string& buffer) {
+  const std::size_t bound = kLineFixedBytes + record.component.size();
+  if (buffer.size() < bound) buffer.resize(bound);
+  char* const begin = buffer.data();
+  char* out = put(begin, "{\"t\":");
+  out = put_decimal(out, record.at_ns);
+  out = put(out, ",\"ev\":\"");
+  out = put(out, event_name(record.event));
+  out = put(out, "\",\"pkt\":\"");
+  out = put_hex16(out, record.packet_id);
+  out = put(out, "\",\"replica\":");
+  out = put_decimal(out, record.replica);
+  out = put(out, ",\"bytes\":");
+  out = put_decimal(out, record.bytes);
+  out = put(out, ",\"src\":\"");
+  out = put(out, record.component);  // component names are plain identifiers
+  out = put(out, "\"}\n");
+  return {begin, static_cast<std::size_t>(out - begin)};
+}
+
 std::string to_json(const TraceRecord& record) {
-  // %016llx keeps packet ids fixed-width so streams diff cleanly.
-  char head[160];
-  const int n = std::snprintf(
-      head, sizeof head,
-      "{\"t\":%lld,\"ev\":\"%s\",\"pkt\":\"%016llx\",\"replica\":%d,"
-      "\"bytes\":%u,\"src\":\"",
-      static_cast<long long>(record.at_ns), to_string(record.event),
-      static_cast<unsigned long long>(record.packet_id), record.replica,
-      record.bytes);
-  std::string out(head, static_cast<std::size_t>(n));
-  out += record.component;  // component names are plain identifiers
-  out += "\"}";
+  std::string out;
+  const std::size_t n = render_jsonl(record, out).size();
+  out.resize(n - 1);
   return out;
 }
 
@@ -80,10 +145,8 @@ void RingBufferSink::append(const TraceRecord& record) {
 
 std::string RingBufferSink::serialize() const {
   std::string out;
-  for (const auto& record : records_) {
-    out += to_json(record);
-    out += '\n';
-  }
+  std::string line;
+  for (const auto& record : records_) out += render_jsonl(record, line);
   return out;
 }
 
@@ -104,10 +167,10 @@ JsonlFileSink::~JsonlFileSink() {
 
 void JsonlFileSink::append(const TraceRecord& record) {
   if (file_ == nullptr) return;
-  const std::string line = to_json(record);
+  const std::string_view line = render_jsonl(record, line_);
   const std::size_t wrote = std::fwrite(line.data(), 1, line.size(), file_);
-  const bool ok = wrote == line.size() && std::fputc('\n', file_) != EOF;
-  NETCO_ASSERT_MSG(ok, "trace sink: short write (disk full?)");
+  NETCO_ASSERT_MSG(wrote == line.size(),
+                   "trace sink: short write (disk full?)");
   ++lines_;
 }
 
@@ -120,14 +183,13 @@ void JsonlFileSink::flush() {
 void Tracer::emit_slow(std::int64_t at_ns, TraceEvent event,
                        std::uint64_t packet_id, std::string_view component,
                        std::int32_t replica, std::uint32_t bytes) {
-  TraceRecord record;
-  record.at_ns = at_ns;
-  record.event = event;
-  record.packet_id = packet_id;
-  record.replica = replica;
-  record.bytes = bytes;
-  record.component.assign(component.data(), component.size());
-  sink_->append(record);
+  record_.at_ns = at_ns;
+  record_.event = event;
+  record_.packet_id = packet_id;
+  record_.replica = replica;
+  record_.bytes = bytes;
+  record_.component.assign(component.data(), component.size());
+  sink_->append(record_);
 }
 
 }  // namespace netco::obs

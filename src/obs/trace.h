@@ -17,6 +17,13 @@
 //
 // Cost model: the Tracer's disabled path is a single pointer null-check —
 // no record construction, no string materialization, no sink virtual call.
+// The enabled path fills one reused TraceRecord (its component string keeps
+// its capacity, so names past the small-string buffer stop allocating) and
+// makes one sink call. Every sink renders through render_jsonl(), which
+// writes the canonical line into a caller-reused buffer: once per record,
+// no allocation, no printf parsing. The checker's stream hash is still
+// FNV-1a over those exact bytes, so what remains of its cost is the
+// byte-serial FNV chain itself — about 2 ns per byte, ~110 bytes a line.
 #pragma once
 
 #include <cstdint>
@@ -87,8 +94,20 @@ struct TraceRecord {
   std::string component;         ///< emitting component ("netco-e0", ...)
 };
 
-/// Canonical single-line JSON rendering (no trailing newline). Field order
-/// and formatting are fixed — golden tests compare these bytes.
+/// Canonical JSONL rendering of one record, trailing newline included:
+///
+///   {"t":<at_ns>,"ev":"<event>","pkt":"<16 lowercase hex>","replica":<n>,
+///    "bytes":<n>,"src":"<component>"}\n
+///
+/// (one line; `t` and `replica` signed decimal, `bytes` unsigned decimal,
+/// the component copied verbatim). Field order and formatting are fixed —
+/// golden tests and every stream hash cover these bytes. Writes into
+/// `buffer`, growing it when a longer component needs room but never
+/// shrinking it, so a buffer reused across records stops allocating;
+/// returns a view of the line at its front, valid until the next call.
+std::string_view render_jsonl(const TraceRecord& record, std::string& buffer);
+
+/// render_jsonl() without the trailing newline, as an owned string.
 [[nodiscard]] std::string to_json(const TraceRecord& record);
 
 /// Where trace records go.
@@ -157,6 +176,7 @@ class JsonlFileSink final : public TraceSink {
  private:
   std::FILE* file_ = nullptr;
   std::uint64_t lines_ = 0;
+  std::string line_;  ///< render_jsonl() scratch, reused across records
 };
 
 /// The emit front-end components talk to. Disabled (no sink) by default.
@@ -182,6 +202,9 @@ class Tracer {
                  std::int32_t replica, std::uint32_t bytes);
 
   TraceSink* sink_ = nullptr;
+  /// Refilled by every emit: sinks see it only for the duration of their
+  /// append() call (they copy what they keep), and no sink emits.
+  TraceRecord record_;
 };
 
 }  // namespace netco::obs
