@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/assert.h"
 #include "common/rng.h"
 
 namespace netco::faultinject {
@@ -175,6 +176,39 @@ void FaultPlan::normalize() {
 
 namespace {
 
+bool addresses_replica(FaultKind kind) noexcept {
+  switch (kind) {
+    case FaultKind::kLinkDown:
+    case FaultKind::kLinkUp:
+    case FaultKind::kLinkLoss:
+    case FaultKind::kLinkLatency:
+    case FaultKind::kReplicaCrash:
+    case FaultKind::kReplicaRestart:
+    case FaultKind::kBehaviorSwap:
+    case FaultKind::kRoutePoison:
+    case FaultKind::kMetricInflate:
+    case FaultKind::kBlackholeAd:
+      return true;
+    default:
+      return false;
+  }
+}
+
+bool addresses_edge(FaultKind kind) noexcept {
+  switch (kind) {
+    case FaultKind::kLinkDown:
+    case FaultKind::kLinkUp:
+    case FaultKind::kLinkLoss:
+    case FaultKind::kLinkLatency:
+    case FaultKind::kHubCrash:
+    case FaultKind::kCacheSqueeze:
+    case FaultKind::kCacheRestore:
+      return true;
+    default:
+      return false;
+  }
+}
+
 /// Draws an apply/revert window inside [lo, hi): at least min_len long,
 /// reverting strictly before hi.
 std::pair<std::int64_t, std::int64_t> draw_window(Rng& rng, std::int64_t lo,
@@ -186,6 +220,25 @@ std::pair<std::int64_t, std::int64_t> draw_window(Rng& rng, std::int64_t lo,
 }
 
 }  // namespace
+
+void FaultPlan::check_addresses(int replicas, int edges) const {
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const FaultEvent& e = events[i];
+    const bool replica_ok = !addresses_replica(e.kind) ||
+                            (e.replica >= 0 && e.replica < replicas);
+    const bool edge_ok =
+        !addresses_edge(e.kind) || (e.edge >= -1 && e.edge < edges);
+    if (replica_ok && edge_ok) continue;
+    const std::string message =
+        "fault plan event " + std::to_string(i) + " (" + to_string(e.kind) +
+        "): " +
+        (replica_ok ? "edge " + std::to_string(e.edge) + " outside [-1, " +
+                          std::to_string(edges) + ")"
+                    : "replica " + std::to_string(e.replica) +
+                          " outside [0, " + std::to_string(replicas) + ")");
+    NETCO_ASSERT_MSG(replica_ok && edge_ok, message.c_str());
+  }
+}
 
 FaultPlan FaultPlan::random(std::uint64_t seed,
                             const FaultPlanParams& params) {

@@ -138,6 +138,15 @@ struct FaultPlan {
   /// this before arming).
   void normalize();
 
+  /// Asserts that every event addresses a part of a circuit with
+  /// `replicas` replicas and `edges` trusted edges: replica ∈ [0, replicas)
+  /// for the kinds that name a replica (link.*, replica.*, behavior.swap,
+  /// routing.*) and edge ∈ [-1, edges) for the kinds that name an edge
+  /// (link.*, hub.crash, cache.*). The failure message names the event's
+  /// index and kind. Injectors call this when they arm a plan, so a bad
+  /// index stops the run before it can reach a replica table.
+  void check_addresses(int replicas, int edges) const;
+
   /// Draws a plan from a seed. Crash and behaviour-swap windows are
   /// allocated in disjoint time slots so at most one replica is impaired
   /// at any instant — a k>=3 majority quorum stays reachable throughout,

@@ -14,6 +14,8 @@ FaultInjector::FaultInjector(topo::Figure3Topology& topo, FaultPlan plan)
 
 void FaultInjector::arm() {
   core::CombinerInstance& combiner = topo_.combiner();
+  plan_.check_addresses(static_cast<int>(combiner.replicas.size()),
+                        static_cast<int>(combiner.edges.size()));
   original_capacity_.clear();
   if (combiner.compare != nullptr) {
     for (const auto* edge : combiner.edges) {

@@ -28,7 +28,10 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Schedules every event on the simulator. Call once, before run.
+  /// Checks every event's replica/edge index against the combiner
+  /// (FaultPlan::check_addresses — an out-of-range index aborts with the
+  /// event named), then schedules every event on the simulator. Call
+  /// once, before run.
   void arm();
 
   /// Wires up the resilience manager the trusted-component fault kinds

@@ -17,10 +17,10 @@
 // *control* plane: time to converge to the correct tables, and goodput
 // of an hA→hB data flow while convergence is under attack.
 //
-// Determinism contract matches the soak: one circuit per Simulator, all
-// trace records folded into a QuorumTraceChecker stream hash, identical
-// hashes for same-seed runs — solo (run_convergence) or as a fleet on a
-// ShardedSimulator (run_convergence_fleet), for any shard count.
+// Each run is one circuit with its own Simulator, every trace record
+// folded into a QuorumTraceChecker stream hash. scenario/circuit_driver.h
+// runs it solo (run_convergence) or as a fleet (run_convergence_fleet) and
+// states the determinism contract both share.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +28,7 @@
 
 #include "faultinject/fault_plan.h"
 #include "routing/rip.h"
+#include "scenario/circuit_driver.h"
 #include "sim/time.h"
 
 namespace netco::scenario {
@@ -50,8 +51,9 @@ struct ConvergenceOptions {
   bool use_combiner = true;
   int k = 3;
 
-  /// Lying replicas inside P (combiner mode: replicas 0..liars-1;
-  /// unprotected mode: any value > 0 corrupts the single switch).
+  /// Lying replicas inside P (combiner mode: replicas 0..liars-1, so at
+  /// most k — more aborts the run; unprotected mode: any value > 0
+  /// corrupts the single switch).
   int liars = 0;
   RoutingAttack attack = RoutingAttack::kInflate;
   /// When the liars switch on (simulated time).
@@ -109,16 +111,11 @@ struct ConvergenceResult {
 /// ConvergenceResult, including stream_hash.
 ConvergenceResult run_convergence(const ConvergenceOptions& options);
 
-/// A fleet of independent circuits on a ShardedSimulator.
-struct ConvergenceFleetResult {
-  std::vector<ConvergenceResult> circuits;  ///< indexed by circuit id
-  /// Per-circuit stream hashes folded in circuit order (identity for a
-  /// single circuit — reproduces run_convergence's hash exactly).
-  std::uint64_t merged_stream_hash = 0;
-};
+using ConvergenceFleetResult = FleetResult<ConvergenceResult>;
 
-/// Circuit 0 runs base.seed exactly; circuit i > 0 runs
-/// hash_mix(base.seed, i). The merged hash is shard-count invariant.
+/// `circuits` independent diamonds on `shards` workers, via run_fleet
+/// (seeds, hash fold and metrics merge as in scenario/circuit_driver.h;
+/// no beacon ring).
 ConvergenceFleetResult run_convergence_fleet(const ConvergenceOptions& base,
                                              std::size_t circuits,
                                              int shards);

@@ -15,11 +15,10 @@
 // reroute latency fall out of the per-window ledger without timestamping
 // individual deliveries.
 //
-// Determinism contract matches the soak and convergence harnesses: one
-// circuit per Simulator, every trace record folded into a
-// QuorumTraceChecker stream hash, identical hashes for same-seed runs —
-// solo (run_failover) or as a fleet on a ShardedSimulator
-// (run_failover_fleet), for any shard count.
+// Each run is one circuit with its own Simulator, every trace record
+// folded into a QuorumTraceChecker stream hash. scenario/circuit_driver.h
+// runs it solo (run_failover) or as a fleet (run_failover_fleet) and
+// states the determinism contract both share.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +27,7 @@
 #include "failover/failover_compiler.h"
 #include "faultinject/fabric_injector.h"
 #include "faultinject/fault_plan.h"
+#include "scenario/circuit_driver.h"
 #include "sim/time.h"
 #include "topo/fattree.h"
 
@@ -110,16 +110,11 @@ struct FailoverResult {
 /// FailoverResult, including stream_hash.
 FailoverResult run_failover(const FailoverOptions& options);
 
-/// A fleet of independent circuits on a ShardedSimulator.
-struct FailoverFleetResult {
-  std::vector<FailoverResult> circuits;  ///< indexed by circuit id
-  /// Per-circuit stream hashes folded in circuit order (identity for a
-  /// single circuit — reproduces run_failover's hash exactly).
-  std::uint64_t merged_stream_hash = 0;
-};
+using FailoverFleetResult = FleetResult<FailoverResult>;
 
-/// Circuit 0 runs base.seed exactly; circuit i > 0 runs
-/// hash_mix(base.seed, i). The merged hash is shard-count invariant.
+/// `circuits` independent fat-trees on `shards` workers, via run_fleet
+/// (seeds, hash fold and metrics merge as in scenario/circuit_driver.h;
+/// no beacon ring).
 FailoverFleetResult run_failover_fleet(const FailoverOptions& base,
                                        std::size_t circuits, int shards);
 

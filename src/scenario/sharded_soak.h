@@ -1,30 +1,18 @@
-// Sharded soak: many independent combiner circuits advanced in parallel
-// by a sim::ShardedSimulator, with canonical hash/metrics merging.
+// Sharded soak: a fleet of SoakCircuits run by scenario::run_fleet
+// (scenario/circuit_driver.h describes the seed rule, the per-window trace
+// sink, the hash fold and the worker-order metrics merge), plus the
+// soak's own merges: the egress-hash fold and fleet-level counter sums.
 //
-// Each circuit is a SoakCircuit on its own sim::Simulator (its own seed,
-// RNG streams, trace checker, and thread-local metrics registry via the
-// worker it is pinned to), so per-circuit event streams are bit-identical
-// for ANY shard count — parallelism only changes which thread interleaves
-// which circuit. The merged artifacts are canonical:
-//
-//  * merged_stream_hash / merged_egress_hash — the per-circuit hashes
-//    folded in circuit-index order (identity for a single circuit, so a
-//    1-circuit sharded run reproduces run_soak()'s hash exactly);
-//  * metrics_json — per-worker registries merged in worker-index order
-//    (counter totals are shard-count invariant; histogram double sums are
-//    deterministic per shard count, since float addition reorders).
-//
-// Optional cross-shard beacons exercise the shard-crossing machinery with
-// real link::Channel traffic (bind_remote over ShardChannels in a ring).
-// Beacon deliveries are trace-neutral by construction — no RNG draws, no
-// trace records — so they scale the cross-shard message count without
-// perturbing any circuit's protocol stream.
+// The soak fleet is the one that can wire the optional beacon ring
+// (cross_shard_beacons): real link::Channel traffic over ShardChannels,
+// trace-neutral by construction, that scales the cross-shard message
+// count without perturbing any circuit's protocol stream.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
+#include "scenario/circuit_driver.h"
 #include "scenario/soak.h"
 
 namespace netco::scenario {
@@ -46,12 +34,11 @@ struct ShardedSoakOptions {
   sim::Duration beacon_period = sim::Duration::milliseconds(10);
 };
 
-/// Aggregate outcome plus every per-circuit result.
-struct ShardedSoakResult {
-  std::vector<SoakResult> circuits;  ///< indexed by circuit id
-
-  /// Canonical fold of per-circuit stream hashes (identity for one).
-  std::uint64_t merged_stream_hash = 0;
+/// The fleet's FleetResult (circuits, merged_stream_hash, rounds,
+/// cross-shard and beacon counts, wall_seconds, merged metrics_json) plus
+/// the soak-specific merges.
+struct ShardedSoakResult : FleetResult<SoakResult> {
+  /// fold_circuit_hashes over the per-circuit egress_set_hash.
   std::uint64_t merged_egress_hash = 0;
 
   // Fleet-level sums over circuits.
@@ -62,19 +49,7 @@ struct ShardedSoakResult {
   std::uint64_t duplicate_egress = 0;
   std::uint64_t fault_events_applied = 0;
 
-  /// Conservative-protocol telemetry (worker-count invariant).
-  std::uint64_t rounds = 0;
-  /// Cross-shard deliveries (beacon traffic; 0 without beacons).
-  std::uint64_t cross_shard_messages = 0;
-  std::uint64_t beacons_received = 0;
-
-  /// Wall-clock of the whole fleet run (coordinator-side; the number the
-  /// shard-count sweep compares).
-  double wall_seconds = 0.0;
   double wall_pps = 0.0;  ///< total offered datagrams / wall second
-
-  /// Per-worker registries merged in worker order.
-  std::string metrics_json;
 
   /// True when every circuit's invariant verdict is clean.
   [[nodiscard]] bool ok() const noexcept {
@@ -87,7 +62,7 @@ struct ShardedSoakResult {
 
 /// Runs the fleet. Same seed + same options ⇒ identical merged hashes for
 /// every value of shards (including per-circuit stream equality with
-/// run_soak for circuit 0).
+/// run_soak for circuit 0). Leaves the caller's metrics registry alone.
 ShardedSoakResult run_sharded_soak(const ShardedSoakOptions& options);
 
 }  // namespace netco::scenario

@@ -1,17 +1,12 @@
-// One combiner circuit of a soak, packaged as a window-driven unit.
-//
-// SoakCircuit owns everything run_soak() used to build on its stack — the
-// Fig. 3 topology, the QuorumTraceChecker, the fault injector, the UDP
-// endpoints — and exposes the soak's event program as the window protocol
-// sim/shard.h expects: start() arms the sender and returns the first
-// window cap, on_window() runs the between-window bookkeeping (audits,
-// tail-goodput mark, sender stop, drain) and returns the next cap, and
-// finalize() collects the SoakResult. Driving those hooks with a plain
-// `run_until(cap)` loop on one thread reproduces the classic run_soak()
-// event program bit-for-bit (run_soak() does exactly that); driving them
-// from a ShardedSimulator runs many circuits in parallel with identical
-// per-circuit streams — determinism is per-circuit, the harness merely
-// chooses how many to interleave.
+// One combiner circuit of a soak: everything run_soak() runs — the Fig. 3
+// topology, the QuorumTraceChecker, the fault injector, the UDP endpoints
+// or the workload engine — packaged as a circuit for the scenario driver
+// (scenario/circuit_driver.h states the circuit contract). start() arms
+// the sender and returns the first window cap; on_window() runs the
+// between-window bookkeeping (audits, tail-goodput mark, sender stop,
+// drain) and returns the next cap; finalize() collects the SoakResult.
+// run_soak() drives it with run_circuit, the sharded and workload fleets
+// with run_fleet, and the per-circuit stream is the same either way.
 #pragma once
 
 #include <chrono>
@@ -23,6 +18,7 @@
 #include "obs/trace.h"
 #include "resilience/resilience.h"
 #include "scenario/soak.h"
+#include "sim/shard.h"
 #include "topo/figure3.h"
 #include "workload/engine.h"
 
@@ -56,6 +52,9 @@ class ProtocolFilterSink final : public obs::TraceSink {
 
 class SoakCircuit {
  public:
+  using Options = SoakOptions;
+  using Result = SoakResult;
+
   /// Validates the options (k bounds, mode exclusivity) and builds the
   /// whole circuit in run_soak()'s construction order. Emits no trace
   /// records itself — install trace_sink() on the running thread's tracer
@@ -94,9 +93,9 @@ class SoakCircuit {
   /// Moves the collected result out (valid after finalize()).
   [[nodiscard]] SoakResult take_result() { return std::move(result_); }
 
-  /// Cap sentinel, identical to sim::ShardCell::done_marker().
+  /// Cap sentinel: sim::ShardCell::done_marker().
   [[nodiscard]] static constexpr sim::TimePoint done_marker() noexcept {
-    return sim::TimePoint::from_ns(INT64_MAX);
+    return sim::ShardCell::done_marker();
   }
 
  private:

@@ -226,6 +226,36 @@ TEST(FaultPlan, FromJsonRejectsMalformedInput) {
           .has_value());
 }
 
+TEST(FaultPlan, CheckAddressesAcceptsRandomPlans) {
+  FaultPlanParams params;
+  params.k = 5;
+  params.hub_crashes = 1;
+  const FaultPlan plan = FaultPlan::random(11, params);
+  ASSERT_FALSE(plan.empty());
+  plan.check_addresses(params.k, params.edges);  // returns, no abort
+  // Kinds that name no edge ignore the field; -1 means every edge.
+  FaultPlan edgeless;
+  edgeless.events.push_back(
+      {.kind = FaultKind::kReplicaCrash, .edge = 7, .replica = 0});
+  edgeless.events.push_back({.kind = FaultKind::kHubCrash, .edge = -1});
+  edgeless.check_addresses(3, 2);
+}
+
+TEST(FaultPlanDeathTest, CheckAddressesRejectsOutOfRangeIndexes) {
+  FaultPlan edge;
+  edge.events.push_back({.kind = FaultKind::kLinkLoss, .edge = 0});
+  edge.events.push_back({.kind = FaultKind::kCacheSqueeze, .edge = 2});
+  EXPECT_DEATH(edge.check_addresses(3, 2),
+               "fault plan event 1 \\(cache.squeeze\\): edge 2 outside "
+               "\\[-1, 2\\)");
+  FaultPlan replica;
+  replica.events.push_back(
+      {.kind = FaultKind::kBehaviorSwap, .edge = -1, .replica = -1});
+  EXPECT_DEATH(replica.check_addresses(3, 2),
+               "fault plan event 0 \\(behavior.swap\\): replica -1 outside "
+               "\\[0, 3\\)");
+}
+
 TEST(FaultPlan, FromJsonRejectsUnknownRoutingKind) {
   // A typo'd routing kind ("routing.posion") must fail the whole parse,
   // not degrade into an empty plan — a silently-empty plan would make an

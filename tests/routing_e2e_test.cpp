@@ -133,5 +133,17 @@ TEST(RoutingConvergence, FleetMergedHashIsShardCountInvariant) {
   EXPECT_EQ(one_shard.circuits[0].stream_hash, solo.stream_hash);
 }
 
+// One lie per liar lands on replicas 0..liars-1: asking for more liars
+// than the combiner has replicas is a configuration error, not a pile-up
+// of extra lies on the last replica.
+TEST(ConvergenceDeathTest, RejectsMoreLiarsThanReplicas) {
+  ConvergenceOptions options = quick_options();
+  options.use_combiner = true;
+  options.liars = options.k + 1;
+  EXPECT_DEATH(run_convergence(options),
+               "fault plan event 3 \\(routing.inflate\\): replica 3 outside "
+               "\\[0, 3\\)");
+}
+
 }  // namespace
 }  // namespace netco::scenario

@@ -80,6 +80,20 @@ TEST(SoakSmokeDeathTest, RejectsOversizedFleet) {
   EXPECT_DEATH(run_soak(options), "SoakOptions.k out of range");
 }
 
+// A plan event addressing replica k would index past the combiner's
+// replica tables; arming the plan must stop the run and name the event.
+TEST(SoakSmokeDeathTest, RejectsOutOfRangePlanReplica) {
+  SoakOptions options = smoke_options();
+  faultinject::FaultEvent event;
+  event.at_ns = sim::Duration::milliseconds(10).ns();
+  event.kind = faultinject::FaultKind::kLinkDown;
+  event.replica = options.k;
+  options.plan.events.push_back(event);
+  EXPECT_DEATH(run_soak(options),
+               "fault plan event 0 \\(link.down\\): replica 3 outside "
+               "\\[0, 3\\)");
+}
+
 TEST(SoakSmokeDeathTest, RejectsEmptyRun) {
   SoakOptions options = smoke_options();
   options.packets = 0;
