@@ -26,22 +26,18 @@ int main() {
 
   // One logical router position between two /24 subnets, realized as a
   // k=3 combiner of cloned legacy routers.
-  core::LegacyCombinerOptions options;
+  core::CombinerOptions options;
   options.k = 3;
   auto combiner = core::build_legacy_combiner(
       net, options,
       {core::LegacyAttachment{
-           .neighbor = &h1,
-           .link = {},
-           .local_macs = {h1.mac()},
-           .interface = {.mac = net::MacAddress::from_id(100),
-                         .ip = net::Ipv4Address::from_octets(10, 0, 1, 254)}},
+           {.neighbor = &h1, .link = {}, .local_macs = {h1.mac()}},
+           {.mac = net::MacAddress::from_id(100),
+            .ip = net::Ipv4Address::from_octets(10, 0, 1, 254)}},
        core::LegacyAttachment{
-           .neighbor = &h2,
-           .link = {},
-           .local_macs = {h2.mac()},
-           .interface = {.mac = net::MacAddress::from_id(101),
-                         .ip = net::Ipv4Address::from_octets(10, 0, 2, 254)}}},
+           {.neighbor = &h2, .link = {}, .local_macs = {h2.mac()}},
+           {.mac = net::MacAddress::from_id(101),
+            .ip = net::Ipv4Address::from_octets(10, 0, 2, 254)}}},
       "legacy");
   combiner.add_route(net::Ipv4Address::from_octets(10, 0, 1, 0), 24, 0,
                      h1.mac());

@@ -9,6 +9,22 @@
 
 namespace netco::faultinject {
 
+std::unique_ptr<device::DatapathInterceptor> make_routing_lie(FaultKind kind) {
+  switch (kind) {
+    case FaultKind::kRoutePoison:
+      return std::make_unique<adversary::RoutePoisonBehavior>(
+          adversary::match_all());
+    case FaultKind::kMetricInflate:
+      return std::make_unique<adversary::MetricInflateBehavior>(
+          adversary::match_all());
+    case FaultKind::kBlackholeAd:
+      return std::make_unique<adversary::BlackholeAdBehavior>(
+          adversary::match_all());
+    default:
+      return nullptr;
+  }
+}
+
 FaultInjector::FaultInjector(topo::Figure3Topology& topo, FaultPlan plan)
     : topo_(topo), plan_(std::move(plan)) {}
 
@@ -147,19 +163,7 @@ void FaultInjector::apply(const FaultEvent& event) {
     case FaultKind::kBlackholeAd: {
       auto* replica = combiner.replicas[static_cast<std::size_t>(
           event.replica)];
-      if (event.kind == FaultKind::kRoutePoison) {
-        interceptors_.push_back(
-            std::make_unique<adversary::RoutePoisonBehavior>(
-                adversary::match_all()));
-      } else if (event.kind == FaultKind::kMetricInflate) {
-        interceptors_.push_back(
-            std::make_unique<adversary::MetricInflateBehavior>(
-                adversary::match_all()));
-      } else {
-        interceptors_.push_back(
-            std::make_unique<adversary::BlackholeAdBehavior>(
-                adversary::match_all()));
-      }
+      interceptors_.push_back(make_routing_lie(event.kind));
       replica->set_interceptor(interceptors_.back().get());
       break;
     }

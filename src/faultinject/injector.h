@@ -19,6 +19,12 @@ class ResilienceManager;
 
 namespace netco::faultinject {
 
+/// The interceptor a routing.* fault installs on its replica: a lie about
+/// the RIP announcements flowing through it (route.poison,
+/// metric.inflate; blackhole.ad also swallows the data it attracts).
+/// nullptr for every other kind.
+std::unique_ptr<device::DatapathInterceptor> make_routing_lie(FaultKind kind);
+
 class FaultInjector {
  public:
   /// Binds a plan to a built combiner topology. The topology must use the

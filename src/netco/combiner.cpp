@@ -52,9 +52,7 @@ CombinerInstance build_combiner(device::Network& network,
                                 const std::vector<PortAttachment>& attachments,
                                 const std::string& name_prefix) {
   NETCO_ASSERT(options.k >= 2);
-  NETCO_ASSERT(!attachments.empty());
   const auto k = static_cast<std::size_t>(options.k);
-  const std::size_t n = attachments.size();
 
   CombinerInstance inst;
   const auto profiles = options.replica_profiles.empty()
@@ -69,7 +67,38 @@ CombinerInstance build_combiner(device::Network& network,
     inst.replicas.push_back(&replica);
   }
 
-  // 2. One trusted edge per attachment, spliced to the neighbor.
+  // 2. The trusted half around them.
+  static_cast<TrustedEdges&>(inst) = wire_trusted_edges(
+      network, options, attachments, name_prefix,
+      [&inst](std::size_t j) -> device::Node& { return *inst.replicas[j]; });
+  return inst;
+}
+
+TrustedEdges wire_trusted_edges(
+    device::Network& network, const CombinerOptions& options,
+    const std::vector<PortAttachment>& attachments,
+    const std::string& name_prefix,
+    const std::function<device::Node&(std::size_t)>& replica) {
+  NETCO_ASSERT(options.k >= 2);
+  NETCO_ASSERT(!attachments.empty());
+  const auto& detection = options.detection;
+  if (detection) {
+    NETCO_ASSERT_MSG(options.combine,
+                     "sampling detection needs the compare: combine=false "
+                     "(the Dup reduction) has none");
+    NETCO_ASSERT_MSG(!options.compare.sampling.enabled,
+                     "sampling detection and compare.sampling.enabled both "
+                     "tap the edge's replica traffic: enable one");
+    NETCO_ASSERT_MSG(detection->primary_replica >= 0 &&
+                         detection->primary_replica < options.k,
+                     "sampling detection: primary_replica outside [0, k)");
+  }
+  const auto k = static_cast<std::size_t>(options.k);
+  const std::size_t n = attachments.size();
+
+  TrustedEdges inst;
+
+  // 1. One trusted edge per attachment, spliced to the neighbor.
   const openflow::SwitchProfile edge_profile{
       .vendor = "trusted-edge", .processing_delay = options.edge_delay};
   inst.edge_replica_port.resize(n);
@@ -85,19 +114,19 @@ CombinerInstance build_combiner(device::Network& network,
     inst.neighbor_port.push_back(conn.a_port);
   }
 
-  // 3. Full mesh edge ↔ replica.
+  // 2. Full mesh edge ↔ replica.
   inst.edge_replica_link.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < k; ++j) {
-      const auto conn = network.connect(*inst.edges[i], *inst.replicas[j],
-                                        options.internal_link);
+      const auto conn =
+          network.connect(*inst.edges[i], replica(j), options.internal_link);
       inst.edge_replica_port[i].push_back(conn.a_port);
       inst.replica_edge_port[j].push_back(conn.b_port);
       inst.edge_replica_link[i].push_back(conn.link);
     }
   }
 
-  // 4. Compare process (unless this is a Dup reduction).
+  // 3. Compare process (unless this is a Dup reduction).
   if (options.combine) {
     inst.compare = std::make_unique<CompareService>();
     inst.compare_controller = std::make_unique<controller::Controller>(
@@ -105,7 +134,7 @@ CombinerInstance build_combiner(device::Network& network,
         options.compare_profile);
   }
 
-  // 5. Rules on each edge.
+  // 4. Rules on each edge.
   for (std::size_t i = 0; i < n; ++i) {
     auto& edge = *inst.edges[i];
     const auto now = network.simulator().now();
@@ -154,6 +183,12 @@ CombinerInstance build_combiner(device::Network& network,
     edge_config.compare = options.compare;
     edge_config.compare.k = options.k;
     edge_config.block_duration = options.block_duration;
+    if (detection) {
+      // Detection, not prevention: the data plane already forwarded the
+      // primary's copy, so the compare only checks and alarms.
+      edge_config.compare.policy = ReleasePolicy::kFirstCopy;
+      edge_config.verify_only = true;
+    }
 
     for (std::size_t j = 0; j < k; ++j) {
       const device::PortIndex rp = inst.edge_replica_port[i][j];
@@ -173,6 +208,20 @@ CombinerInstance build_combiner(device::Network& network,
       punt.actions = {openflow::OutputAction::controller()};
       punt.priority = 20;
       edge.table().add(std::move(punt), now);
+    }
+
+    // Sampling detection (§IX): the trusted tap takes every replica copy
+    // ahead of the table, so the punt path above is never reached — it
+    // forwards the primary's copy and escalates a content-sampled subset.
+    if (detection) {
+      inst.detection_taps.push_back(std::make_unique<SamplingEdgeLogic>(
+          SamplingEdgeLogic::Config{
+              .replica_ports = edge_config.replica_ports,
+              .primary_replica = detection->primary_replica,
+              .neighbor_port = inst.edge_neighbor_port[i],
+              .sample_rate = detection->sample_rate},
+          &edge));
+      edge.set_interceptor(inst.detection_taps.back().get());
     }
 
     // Sampled-verification fast path (§XII): replica copies short-circuit

@@ -2,7 +2,6 @@
 
 #include "common/assert.h"
 #include "common/fmt.h"
-#include "controller/static_routing.h"
 
 namespace netco::core {
 
@@ -19,102 +18,36 @@ void LegacyCombinerInstance::add_route(net::Ipv4Address prefix, int len,
 }
 
 LegacyCombinerInstance build_legacy_combiner(
-    device::Network& network, const LegacyCombinerOptions& options,
+    device::Network& network, const CombinerOptions& options,
     const std::vector<LegacyAttachment>& attachments,
     const std::string& name_prefix) {
   NETCO_ASSERT(options.k >= 2);
-  NETCO_ASSERT(!attachments.empty());
   const auto k = static_cast<std::size_t>(options.k);
-  const std::size_t n = attachments.size();
 
   LegacyCombinerInstance inst;
+  const auto profiles = options.replica_profiles.empty()
+                            ? default_replica_profiles()
+                            : options.replica_profiles;
 
   // 1. k cloned legacy replicas. Interface configuration is identical on
   //    every replica — they all emulate the same logical router.
   for (std::size_t j = 0; j < k; ++j) {
     auto& replica = network.add_node<iproute::LegacyRouter>(
         fmt("{}-r{}", name_prefix, j),
-        options.replica_delays[j % options.replica_delays.size()]);
+        profiles[j % profiles.size()].processing_delay);
     for (const auto& attachment : attachments) {
       replica.add_interface(attachment.interface);
     }
     inst.replicas.push_back(&replica);
   }
 
-  // 2. Trusted edges, spliced to the neighbors.
-  const openflow::SwitchProfile edge_profile{
-      .vendor = "trusted-edge", .processing_delay = options.edge_delay};
-  inst.edge_replica_port.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto& edge = network.add_node<openflow::OpenFlowSwitch>(
-        fmt("{}-e{}", name_prefix, i), edge_profile);
-    inst.edges.push_back(&edge);
-    const auto conn =
-        network.connect(*attachments[i].neighbor, edge, attachments[i].link);
-    inst.edge_neighbor_port.push_back(conn.b_port);
-  }
-
-  // 3. Edge ↔ replica mesh. Replica port index == attachment index, the
-  //    same invariant the interface list relies on.
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      const auto conn = network.connect(*inst.edges[i], *inst.replicas[j],
-                                        options.internal_link);
-      inst.edge_replica_port[i].push_back(conn.a_port);
-    }
-  }
-
-  // 4. Compare process + edge rules (hub, screen, punt, MAC routes) —
-  //    identical policy to the OpenFlow combiner.
-  inst.compare = std::make_unique<CompareService>();
-  inst.compare_controller = std::make_unique<controller::Controller>(
-      network.simulator(), fmt("{}-compare", name_prefix), *inst.compare,
-      options.compare_profile);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    auto& edge = *inst.edges[i];
-    const auto now = network.simulator().now();
-
-    openflow::FlowSpec hub;
-    hub.match.with_in_port(inst.edge_neighbor_port[i]);
-    for (std::size_t j = 0; j < k; ++j) {
-      hub.actions.push_back(
-          openflow::OutputAction::to(inst.edge_replica_port[i][j]));
-    }
-    hub.priority = 30;
-    edge.table().add(std::move(hub), now);
-
-    for (const auto& mac : attachments[i].local_macs) {
-      controller::install_mac_route(edge, mac, inst.edge_neighbor_port[i]);
-    }
-
-    CompareService::EdgeConfig config;
-    config.compare = options.compare;
-    config.compare.k = options.k;
-    for (std::size_t j = 0; j < k; ++j) {
-      const device::PortIndex rp = inst.edge_replica_port[i][j];
-      config.replica_ports[rp] = static_cast<int>(j);
-      for (const auto& mac : attachments[i].local_macs) {
-        openflow::FlowSpec drop;
-        drop.match.with_in_port(rp).with_dl_src(mac);
-        drop.priority = 25;
-        edge.table().add(std::move(drop), now);
-      }
-      openflow::FlowSpec punt;
-      punt.match.with_in_port(rp);
-      punt.actions = {openflow::OutputAction::controller()};
-      punt.priority = 20;
-      edge.table().add(std::move(punt), now);
-    }
-    // The replicas' own frames (ICMP replies / time-exceeded from the
-    // router interfaces) carry the interface MAC as dl_src — they must
-    // pass the screen (the interface MAC is not a local host MAC) and be
-    // routable back out: released packets destined to a local host use
-    // the MAC routes above.
-    inst.compare->configure_edge(edge.name(), std::move(config));
-    inst.compare_controller->attach(edge);
-  }
-
+  // 2. The trusted half. The mesh gives each replica its port toward
+  //    edge i as port i: the index the interface list relies on.
+  const std::vector<PortAttachment> ports(attachments.begin(),
+                                          attachments.end());
+  static_cast<TrustedEdges&>(inst) = wire_trusted_edges(
+      network, options, ports, name_prefix,
+      [&inst](std::size_t j) -> device::Node& { return *inst.replicas[j]; });
   return inst;
 }
 

@@ -2,57 +2,35 @@
 // extension sketched in the paper's conclusion ("our approach can easily
 // be extended to legacy routers").
 //
-// Structure is identical to the OpenFlow combiner (trusted OF edges as
-// hub/compare-feeders, out-of-band compare), but the k replicas are
-// LegacyRouter instances deployed as exact configuration clones: same
-// interface MACs and IPs on every replica, so their L2 rewrites and TTL
-// decrements produce bit-identical copies that the memcmp compare accepts.
+// Only the replicas differ from the OpenFlow combiner: the trusted half
+// (edges as hub/compare-feeders, out-of-band compare) is the same
+// wire_trusted_edges() step (combiner.h). The k replicas are LegacyRouter
+// instances deployed as exact configuration clones: same interface MACs
+// and IPs on every replica, so their L2 rewrites and TTL decrements
+// produce bit-identical copies that the memcmp compare accepts. A
+// replica's own frames (ICMP replies, time-exceeded) carry an interface
+// MAC as dl_src, which is no local host MAC: they pass the edge's
+// anti-spoof screen and leave through its MAC routes like any release.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "controller/controller.h"
 #include "device/network.h"
 #include "iproute/legacy_router.h"
-#include "netco/compare_service.h"
+#include "netco/combiner.h"
 
 namespace netco::core {
 
 /// One neighbor of the legacy router position.
-struct LegacyAttachment {
-  device::Node* neighbor = nullptr;
-  link::LinkConfig link;
-  /// Hosts living behind this neighbor (screening + released-packet MAC
-  /// routes on the trusted edge).
-  std::vector<net::MacAddress> local_macs;
+struct LegacyAttachment : PortAttachment {
   /// The logical router's interface on this port — cloned to all replicas.
   iproute::Interface interface;
 };
 
-/// Construction options.
-struct LegacyCombinerOptions {
-  int k = 3;
-  CompareConfig compare;
-  controller::CostProfile compare_profile =
-      controller::CostProfile::c_program();
-  link::LinkConfig internal_link;
-  sim::Duration edge_delay = sim::Duration::microseconds(5);
-  /// Per-replica forwarding latencies (vendor diversity; cycled).
-  std::vector<sim::Duration> replica_delays = {
-      sim::Duration::microseconds(15), sim::Duration::nanoseconds(16500),
-      sim::Duration::nanoseconds(13800)};
-};
-
 /// Handles to the built combiner.
-struct LegacyCombinerInstance {
-  std::vector<openflow::OpenFlowSwitch*> edges;
+struct LegacyCombinerInstance : TrustedEdges {
   std::vector<iproute::LegacyRouter*> replicas;
-  std::vector<device::PortIndex> edge_neighbor_port;
-  std::vector<std::vector<device::PortIndex>> edge_replica_port;
-  std::unique_ptr<controller::Controller> compare_controller;
-  std::unique_ptr<CompareService> compare;
 
   /// Installs prefix/len → next hop (out through attachment `idx`,
   /// addressed to `next_mac`) into every replica's FIB.
@@ -60,9 +38,11 @@ struct LegacyCombinerInstance {
                  const net::MacAddress& next_mac);
 };
 
-/// Builds the combiner; replica FIBs start empty (use add_route).
+/// Builds the combiner; replica FIBs start empty (use add_route). Replica
+/// j forwards with the processing delay of options.replica_profiles[j]
+/// (cycled; default_replica_profiles() when empty).
 LegacyCombinerInstance build_legacy_combiner(
-    device::Network& network, const LegacyCombinerOptions& options,
+    device::Network& network, const CombinerOptions& options,
     const std::vector<LegacyAttachment>& attachments,
     const std::string& name_prefix);
 

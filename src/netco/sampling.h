@@ -3,20 +3,24 @@
 // data plane forwards a random subset of packets to a more thorough
 // out-of-band compare logic."
 //
-// Deployment: the trusted edge forwards the *primary* replica's output
+// Deployment: build_combiner with CombinerOptions::detection set
+// (combiner.h). The trusted edge forwards the *primary* replica's output
 // downstream immediately (no holding — this is detection, not
 // prevention), and for a content-sampled subset of packets it punts every
 // replica's copy to the out-of-band compare, which verifies agreement and
 // raises mismatch alarms. Sampling is deterministic on packet content so
 // the k copies of one packet are always sampled consistently.
+//
+// This is a tap of its own, not a mode of FastPathTap (§XII): the two
+// pick packets differently (a content-hash threshold here, a sequence
+// period there), and a shared tap would put a branch on the per-copy hot
+// path of sampled verification.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
 
 #include "device/datapath.h"
-#include "netco/combiner.h"  // PortAttachment
-#include "netco/compare_service.h"
 #include "openflow/switch.h"
 
 namespace netco::core {
@@ -36,7 +40,10 @@ class SamplingEdgeLogic : public device::DatapathInterceptor {
     double sample_rate = 0.05;
   };
 
-  explicit SamplingEdgeLogic(Config config) : config_(std::move(config)) {}
+  /// `edge` is the switch the logic will be installed on — pinned here so
+  /// the per-copy path never pays a dynamic_cast.
+  SamplingEdgeLogic(Config config, openflow::OpenFlowSwitch* edge)
+      : config_(std::move(config)), edge_(edge) {}
 
   bool intercept(device::Datapath& datapath, device::PortIndex in_port,
                  net::Packet& packet) override;
@@ -51,43 +58,9 @@ class SamplingEdgeLogic : public device::DatapathInterceptor {
 
  private:
   Config config_;
+  openflow::OpenFlowSwitch* edge_;
   std::uint64_t forwarded_ = 0;
   std::uint64_t sampled_ = 0;
 };
-
-/// Options for a sampling-detection combiner.
-struct SamplingCombinerOptions {
-  int k = 3;
-  double sample_rate = 0.05;
-  int primary_replica = 0;
-  CompareConfig compare;  ///< policy is forced to kFirstCopy (detection)
-  controller::CostProfile compare_profile =
-      controller::CostProfile::c_program();
-  link::LinkConfig internal_link;
-  sim::Duration edge_delay = sim::Duration::microseconds(5);
-  std::vector<openflow::SwitchProfile> replica_profiles;
-};
-
-/// Handles to a built sampling combiner.
-struct SamplingCombinerInstance {
-  std::vector<openflow::OpenFlowSwitch*> edges;
-  std::vector<openflow::OpenFlowSwitch*> replicas;
-  std::vector<device::PortIndex> edge_neighbor_port;
-  std::vector<std::vector<device::PortIndex>> edge_replica_port;
-  std::vector<std::vector<device::PortIndex>> replica_edge_port;
-  std::vector<std::unique_ptr<SamplingEdgeLogic>> edge_logic;  ///< per edge
-  std::unique_ptr<controller::Controller> compare_controller;
-  std::unique_ptr<CompareService> compare;
-
-  /// Installs "dl_dst=mac → toward attachment idx" into every replica.
-  void install_replica_route(const net::MacAddress& mac, std::size_t idx);
-};
-
-/// Builds a sampling-detection combiner (reuses PortAttachment from the
-/// prevention combiner).
-SamplingCombinerInstance build_sampling_combiner(
-    device::Network& network, const SamplingCombinerOptions& options,
-    const std::vector<PortAttachment>& attachments,
-    const std::string& name_prefix);
 
 }  // namespace netco::core

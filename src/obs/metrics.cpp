@@ -130,6 +130,7 @@ std::string MetricsRegistry::to_json() const {
   std::string out = "{\"counters\":{";
   bool first = true;
   for (const auto& [name, ctr] : counters_) {
+    if (ctr->value() == 0) continue;
     if (!first) out += ',';
     first = false;
     out += '"';
@@ -140,6 +141,7 @@ std::string MetricsRegistry::to_json() const {
   out += "},\"histograms\":{";
   first = true;
   for (const auto& [name, hist] : histograms_) {
+    if (hist->count() == 0) continue;
     if (!first) out += ',';
     first = false;
     out += '"';

@@ -8,7 +8,9 @@
 //
 // to_json() renders a canonical snapshot (keys sorted, fixed number
 // formatting) so benches can dump machine-readable metrics next to their
-// tables and tests can diff snapshots textually.
+// tables and tests can diff snapshots textually. It holds only what was
+// touched since the last reset(): a zero counter or an empty histogram is
+// left out, so a registry reused across runs renders like a fresh one.
 #pragma once
 
 #include <cstdint>
@@ -98,7 +100,8 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name,
                        std::vector<double> upper_bounds = {});
 
-  /// Canonical JSON object: {"counters":{...},"histograms":{...}}.
+  /// Canonical JSON object: {"counters":{...},"histograms":{...}},
+  /// without zero counters and empty histograms.
   [[nodiscard]] std::string to_json() const;
 
   /// Zeroes every instrument; registrations (and addresses) survive.

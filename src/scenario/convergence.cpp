@@ -9,6 +9,7 @@
 #include "common/assert.h"
 #include "controller/static_routing.h"
 #include "device/network.h"
+#include "faultinject/injector.h"
 #include "faultinject/invariants.h"
 #include "host/host.h"
 #include "iproute/legacy_router.h"
@@ -337,25 +338,14 @@ class ConvergenceCircuit {
   }
 
   void apply_fault(const faultinject::FaultEvent& event) {
-    std::unique_ptr<device::DatapathInterceptor> behavior;
-    switch (event.kind) {
-      case faultinject::FaultKind::kRoutePoison:
-        behavior = std::make_unique<adversary::RoutePoisonBehavior>(
-            adversary::match_all());
-        break;
-      case faultinject::FaultKind::kMetricInflate:
-        behavior = std::make_unique<adversary::MetricInflateBehavior>(
-            adversary::match_all());
-        break;
-      case faultinject::FaultKind::kBlackholeAd: {
-        auto blackhole = std::make_unique<adversary::BlackholeAdBehavior>(
-            adversary::match_all());
-        blackholes_.push_back(blackhole.get());
-        behavior = std::move(blackhole);
-        break;
-      }
-      default:
-        return;  // this harness only speaks the routing.* vocabulary
+    std::unique_ptr<device::DatapathInterceptor> behavior =
+        faultinject::make_routing_lie(event.kind);
+    if (behavior == nullptr) {
+      return;  // this harness only speaks the routing.* vocabulary
+    }
+    if (event.kind == faultinject::FaultKind::kBlackholeAd) {
+      blackholes_.push_back(
+          static_cast<adversary::BlackholeAdBehavior*>(behavior.get()));
     }
     openflow::OpenFlowSwitch* target =
         opts_.use_combiner

@@ -2,10 +2,13 @@
 // and the inband middlebox compare.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "adversary/behaviors.h"
 #include "device/network.h"
 #include "host/host.h"
 #include "host/ping.h"
+#include "netco/combiner.h"
 #include "netco/sampling.h"
 #include "scenario/scenarios.h"
 #include "topo/figure3.h"
@@ -21,17 +24,17 @@ struct SamplingFixture {
   device::Network net{sim};
   host::Host& h1;
   host::Host& h2;
-  SamplingCombinerInstance inst;
+  CombinerInstance inst;
 
-  explicit SamplingFixture(double rate, int primary = 0)
+  explicit SamplingFixture(double rate, int primary = 0,
+                           CombinerOptions options = {})
       : h1(net.add_node<host::Host>("h1", net::MacAddress::from_id(1),
                                     net::Ipv4Address::from_id(1))),
         h2(net.add_node<host::Host>("h2", net::MacAddress::from_id(2),
                                     net::Ipv4Address::from_id(2))) {
-    SamplingCombinerOptions options;
-    options.sample_rate = rate;
-    options.primary_replica = primary;
-    inst = build_sampling_combiner(
+    options.detection =
+        SamplingDetection{.sample_rate = rate, .primary_replica = primary};
+    inst = build_combiner(
         net, options,
         {PortAttachment{.neighbor = &h1, .link = {}, .local_macs = {h1.mac()}},
          PortAttachment{.neighbor = &h2, .link = {}, .local_macs = {h2.mac()}}},
@@ -128,7 +131,7 @@ TEST(SamplingCombiner, MaliciousPrimaryIsDetectedButNotPrevented) {
 TEST(SamplingCombiner, SamplingDecisionConsistentAcrossCopies) {
   SamplingEdgeLogic::Config config;
   config.sample_rate = 0.5;
-  SamplingEdgeLogic logic(config);
+  SamplingEdgeLogic logic(config, /*edge=*/nullptr);
   for (std::uint32_t n = 0; n < 64; ++n) {
     std::vector<std::byte> payload(64, std::byte{static_cast<unsigned char>(n)});
     const auto packet = net::build_udp(
@@ -141,6 +144,60 @@ TEST(SamplingCombiner, SamplingDecisionConsistentAcrossCopies) {
     const auto copy = packet;
     EXPECT_EQ(logic.is_sampled(packet), logic.is_sampled(copy));
   }
+}
+
+/// One row of the A6 ablation (bench/ablation_compare.cpp), run the way
+/// the bench runs it: a corrupting secondary, 30 pings at 3 ms, 200 ms of
+/// settling. Returns (replies, compare packet-ins, mismatch alarms).
+std::tuple<int, std::uint64_t, std::uint64_t> ablation_row(double rate) {
+  SamplingFixture f(rate);
+  adversary::ModifyBehavior modify(
+      adversary::match_all(), adversary::ModifyBehavior::corrupt_payload());
+  f.inst.replicas[1]->set_interceptor(&modify);
+
+  host::PingConfig config;
+  config.dst_mac = f.h2.mac();
+  config.dst_ip = f.h2.ip();
+  config.count = 30;
+  config.interval = sim::Duration::milliseconds(3);
+  host::IcmpPinger pinger(f.h1, config);
+  pinger.start();
+  while (!pinger.finished() && f.sim.now().sec() < 3.0)
+    f.sim.run_for(sim::Duration::milliseconds(10));
+  f.sim.run_for(sim::Duration::milliseconds(200));
+  return {pinger.report().received,
+          f.inst.compare_controller->stats().packet_ins_received,
+          f.mismatches()};
+}
+
+TEST(SamplingCombiner, AblationTableIsPinned) {
+  // The published A6 table, exactly: availability never moves, compare
+  // load and alarms scale with the sample rate.
+  using Row = std::tuple<int, std::uint64_t, std::uint64_t>;
+  EXPECT_EQ(ablation_row(0.0), (Row{30, 0, 0}));
+  EXPECT_EQ(ablation_row(0.01), (Row{30, 0, 0}));
+  EXPECT_EQ(ablation_row(0.1), (Row{30, 24, 16}));
+  EXPECT_EQ(ablation_row(0.5), (Row{30, 84, 56}));
+  EXPECT_EQ(ablation_row(1.0), (Row{30, 180, 120}));
+}
+
+TEST(SamplingCombinerDeathTest, RejectsSampledFastPathToo) {
+  CombinerOptions options;
+  options.compare.sampling.enabled = true;
+  EXPECT_DEATH(SamplingFixture(0.05, 0, options),
+               "sampling detection and compare.sampling.enabled both tap");
+}
+
+TEST(SamplingCombinerDeathTest, RejectsDupReduction) {
+  CombinerOptions options;
+  options.combine = false;
+  EXPECT_DEATH(SamplingFixture(0.05, 0, options),
+               "sampling detection needs the compare: combine=false");
+}
+
+TEST(SamplingCombinerDeathTest, RejectsPrimaryOutsideReplicas) {
+  EXPECT_DEATH(SamplingFixture(0.05, 3), "primary_replica outside");
+  EXPECT_DEATH(SamplingFixture(0.05, -1), "primary_replica outside");
 }
 
 // --- inband middlebox compare ---------------------------------------------

@@ -275,22 +275,18 @@ struct LegacyCombinerFixture {
         h2(net.add_node<host::Host>(
             "h2", net::MacAddress::from_id(2),
             net::Ipv4Address::from_octets(10, 0, 2, 1))) {
-    core::LegacyCombinerOptions options;
+    core::CombinerOptions options;
     options.k = k;
     combiner = core::build_legacy_combiner(
         net, options,
         {core::LegacyAttachment{
-             .neighbor = &h1,
-             .link = {},
-             .local_macs = {h1.mac()},
-             .interface = {.mac = net::MacAddress::from_id(100),
-                           .ip = net::Ipv4Address::from_octets(10, 0, 1, 254)}},
+             {.neighbor = &h1, .link = {}, .local_macs = {h1.mac()}},
+             {.mac = net::MacAddress::from_id(100),
+              .ip = net::Ipv4Address::from_octets(10, 0, 1, 254)}},
          core::LegacyAttachment{
-             .neighbor = &h2,
-             .link = {},
-             .local_macs = {h2.mac()},
-             .interface = {.mac = net::MacAddress::from_id(101),
-                           .ip = net::Ipv4Address::from_octets(10, 0, 2, 254)}}},
+             {.neighbor = &h2, .link = {}, .local_macs = {h2.mac()}},
+             {.mac = net::MacAddress::from_id(101),
+              .ip = net::Ipv4Address::from_octets(10, 0, 2, 254)}}},
         "legacy");
     combiner.add_route(net::Ipv4Address::from_octets(10, 0, 1, 0), 24, 0,
                        h1.mac());

@@ -154,6 +154,23 @@ TEST(MetricsRegistry, StableAddressesAndCanonicalJson) {
   EXPECT_EQ(&registry.counter("b.second"), &a);  // reset preserves identity
 }
 
+TEST(MetricsRegistry, ResetRegistryRendersLikeAnUntouchedOne) {
+  // A registry reused across runs on one thread: names registered and
+  // bumped by an earlier run must not leak into the next run's snapshot.
+  obs::MetricsRegistry reused;
+  reused.counter("earlier.run").inc(7);
+  reused.histogram("earlier.latency_us").observe(12.0);
+  reused.reset();
+  reused.counter("this.run").inc(2);
+
+  obs::MetricsRegistry fresh;
+  fresh.counter("this.run").inc(2);
+  EXPECT_EQ(reused.to_json(), fresh.to_json());
+  EXPECT_EQ(fresh.to_json(), "{\"counters\":{\"this.run\":2},\"histograms\":{}}");
+  EXPECT_EQ(obs::MetricsRegistry{}.to_json(),
+            "{\"counters\":{},\"histograms\":{}}");
+}
+
 TEST(Table, RendersAlignedColumns) {
   TablePrinter table({"name", "value"});
   table.add_row({"short", "1"});
