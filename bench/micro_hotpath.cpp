@@ -1,5 +1,6 @@
 // Hot-path microbench: packet fan-out copy cost, hash memoization, and
-// scheduler churn in isolation, with the pre-change baseline *recorded in
+// scheduler churn in isolation (plus a reported, ungated soak-shaped
+// steady-queue row), with the pre-change baseline *recorded in
 // the same run* so BENCH_hotpath.json carries before/after numbers from
 // one machine at one moment.
 //
@@ -174,6 +175,44 @@ Comparison bench_scheduler(double min_seconds, std::size_t payload) {
         simulator.run();
       });
   return result;
+}
+
+/// A link delivering to a port: each fire schedules its successor with a
+/// `this` + port + Packet closure, like the soak's per-hop events.
+struct SteadyQueue {
+  sim::Simulator* simulator;
+  std::uint64_t remaining;
+
+  void fire(std::uint32_t port, net::Packet packet) {
+    consume(packet.size() + port);
+    if (remaining == 0) return;
+    --remaining;
+    const auto delay = sim::Duration::nanoseconds(
+        1 + static_cast<std::int64_t>((remaining * 2654435761u) % 997));
+    simulator->schedule_after(
+        delay, [this, port, p = std::move(packet)]() mutable {
+          fire(port, std::move(p));
+        });
+  }
+};
+
+/// Schedule + dispatch cost per event in a steady small queue shaped like
+/// the soak's (~32 live events, queue depth never grows). Reported only.
+double bench_steady_queue(double min_seconds, std::size_t payload) {
+  Rng rng(46);
+  const net::Packet packet = random_packet(rng, payload);
+  constexpr std::uint32_t kLive = 32;
+  return time_per_item(min_seconds, 8192, [&](std::uint64_t n) {
+    sim::Simulator simulator(1);
+    SteadyQueue queue{&simulator, n - kLive};
+    for (std::uint32_t port = 0; port < kLive; ++port) {
+      simulator.schedule_after(sim::Duration::nanoseconds(port),
+                               [&queue, port, p = packet]() mutable {
+                                 queue.fire(port, std::move(p));
+                               });
+    }
+    simulator.run();
+  });
 }
 
 /// Schedule + cancel churn: timers that almost never fire (TCP retransmit,
@@ -352,6 +391,7 @@ int main() {
   const Comparison fanout = bench_fanout(min_seconds, kFanout, kPayload);
   const Comparison hash = bench_hash_memo(min_seconds, kPayload);
   const Comparison sched = bench_scheduler(min_seconds, kPayload);
+  const double steady_ns = bench_steady_queue(min_seconds, kPayload);
   const double cancel_ns = bench_cancel(min_seconds);
   const Comparison wheel = bench_timer_wheel(min_seconds);
   std::uint64_t trace_hashes[2] = {};
@@ -368,6 +408,9 @@ int main() {
   std::printf("scheduler event:        legacy   %.1f ns/ev  -> fast path "
               "%.1f ns/ev  (%.1fx)\n",
               sched.baseline_ns, sched.optimized_ns, sched.speedup());
+  std::printf("steady queue (32 live): %.1f ns/ev (each fire schedules "
+              "its successor)\n",
+              steady_ns);
   std::printf("schedule+cancel:        %.1f ns/ev (tombstone purge)\n",
               cancel_ns);
   std::printf("timer churn (32k bg):   heap     %.1f ns/ev  -> wheel     "
@@ -388,6 +431,7 @@ int main() {
       "\"memoized_ns_per_call\":%.2f,\"speedup\":%.2f},"
       "\"scheduler\":{\"legacy_model_ns_per_event\":%.2f,"
       "\"fastpath_ns_per_event\":%.2f,\"speedup\":%.2f,"
+      "\"steady_queue_32_ns_per_event\":%.2f,"
       "\"schedule_cancel_ns_per_event\":%.2f},"
       "\"timer_wheel\":{\"heap_ns_per_event\":%.2f,"
       "\"wheel_ns_per_event\":%.2f,\"speedup\":%.2f},"
@@ -397,7 +441,8 @@ int main() {
       quick ? "true" : "false", kPayload, kFanout, fanout.baseline_ns,
       fanout.optimized_ns, fanout.speedup(), hash.baseline_ns,
       hash.optimized_ns, hash.speedup(), sched.baseline_ns,
-      sched.optimized_ns, sched.speedup(), cancel_ns, wheel.baseline_ns,
+      sched.optimized_ns, sched.speedup(), steady_ns, cancel_ns,
+      wheel.baseline_ns,
       wheel.optimized_ns, wheel.speedup(), trace.baseline_ns,
       trace.optimized_ns, trace.speedup(),
       trace_same_bytes ? "true" : "false");

@@ -4,9 +4,9 @@
 // handful of words (`this`, a port index, a COW Packet handle — see
 // src/net/packet.h). `std::function` heap-allocates most of those and
 // requires copyability; Callback stores any nothrow-movable callable up
-// to kInlineBytes directly inside the event record and falls back to one
-// heap allocation only for oversized captures. Together with the
-// generation-slab cancellation scheme in simulator.h this makes
+// to kInlineBytes inline (the simulator parks it in its event's slot) and
+// falls back to one heap allocation only for oversized captures. Together
+// with the generation-slab cancellation scheme in simulator.h this makes
 // scheduling an event allocation-free in the common case.
 #pragma once
 
@@ -65,6 +65,14 @@ class Callback {
 
   void operator()() { ops_->invoke(storage_); }
 
+  /// Destroys the held callable (and its captures); leaves it empty.
+  void reset() noexcept {
+    if (ops_ != nullptr) {
+      ops_->destroy(storage_);
+      ops_ = nullptr;
+    }
+  }
+
  private:
   struct Ops {
     void (*invoke)(void*);
@@ -110,13 +118,6 @@ class Callback {
     if (ops_ != nullptr) {
       ops_->relocate(storage_, other.storage_);
       other.ops_ = nullptr;
-    }
-  }
-
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      ops_->destroy(storage_);
-      ops_ = nullptr;
     }
   }
 

@@ -36,7 +36,7 @@ bool EventHandle::pending() const noexcept {
 Simulator::Simulator(std::uint64_t seed)
     : slab_(std::make_shared<detail::CancelSlab>()), rng_(seed) {}
 
-EventHandle Simulator::schedule_at(TimePoint at, Callback fn) {
+EventHandle Simulator::schedule_at(TimePoint at, Callback&& fn) {
   NETCO_ASSERT_MSG(at >= now_, "cannot schedule events in the past");
   NETCO_ASSERT(static_cast<bool>(fn));
   // Cancel-heavy workloads (probe churn, failover rewires) retire events
@@ -50,21 +50,24 @@ EventHandle Simulator::schedule_at(TimePoint at, Callback fn) {
   const std::uint32_t slot = slab_->acquire();
   const std::uint64_t generation = slab_->generation[slot];
   ++slab_->live;
-  queue_.push_back(Event{at, next_seq_++, generation, slot, std::move(fn)});
+  callbacks_.cover(slot);
+  callbacks_[slot] = std::move(fn);
+  queue_.push_back(detail::QueueKey{at, next_seq_++, slot});
   std::push_heap(queue_.begin(), queue_.end(), Later{});
   return EventHandle{slab_, slot, generation};
 }
 
-EventHandle Simulator::schedule_after(Duration delay, Callback fn) {
+EventHandle Simulator::schedule_after(Duration delay, Callback&& fn) {
   NETCO_ASSERT_MSG(delay >= Duration::zero(), "negative delay");
   return schedule_at(now_ + delay, std::move(fn));
 }
 
 void Simulator::compact() {
   const auto keep_end = std::remove_if(
-      queue_.begin(), queue_.end(), [this](const Event& event) {
-        if (slab_->matches(event.slot, event.generation)) return false;
-        slab_->release(event.slot);
+      queue_.begin(), queue_.end(), [this](const detail::QueueKey& key) {
+        if (slab_->holds_live_event(key.slot)) return false;
+        callbacks_[key.slot].reset();
+        slab_->release(key.slot);
         return true;
       });
   queue_.erase(keep_end, queue_.end());
@@ -76,29 +79,30 @@ void Simulator::compact() {
 
 bool Simulator::step(TimePoint deadline) {
   while (!queue_.empty()) {
-    const Event& top = queue_.front();
-    if (!slab_->matches(top.slot, top.generation)) {
-      // Tombstone: cancelled while queued. Purge regardless of deadline —
-      // it will never run, and draining the run now keeps the queue lean.
-      const std::uint32_t slot = top.slot;
-      std::pop_heap(queue_.begin(), queue_.end(), Later{});
-      queue_.pop_back();
-      slab_->release(slot);
+    const detail::QueueKey top = queue_.front();
+    const bool live = slab_->holds_live_event(top.slot);
+    // A tombstone (cancelled while queued) is purged regardless of the
+    // deadline — it will never run, and draining the run now keeps the
+    // queue lean.
+    if (live && top.at > deadline) return false;
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    queue_.pop_back();
+    Callback& fn = callbacks_[top.slot];
+    if (!live) {
+      fn.reset();
+      slab_->release(top.slot);
       continue;
     }
-    if (top.at > deadline) return false;
-    // Move the event out before running: the callback may schedule more
-    // events and reallocate the underlying heap.
-    std::pop_heap(queue_.begin(), queue_.end(), Later{});
-    Event event = std::move(queue_.back());
-    queue_.pop_back();
-    // Fired: handles must stop reporting pending, and the slot recycles.
-    ++slab_->generation[event.slot];
-    slab_->release(event.slot);
+    // Fired: handles stop reporting pending. The callback runs in place
+    // (the store's chunks never move, so events it schedules cannot
+    // invalidate it); its slot recycles only once it has returned.
+    ++slab_->generation[top.slot];
     --slab_->live;
-    now_ = event.at;
+    now_ = top.at;
     ++executed_;
-    event.fn();
+    fn();
+    fn.reset();
+    slab_->release(top.slot);
     return true;
   }
   return false;

@@ -6,15 +6,19 @@
 // seed and event program.
 //
 // Hot-path design: scheduling an event performs zero heap allocations in
-// the common case. The callback lives inline in the event record (see
-// sim/callback.h), and cancellation is a generation counter in a slab the
-// simulator owns — an EventHandle is (slab, slot, generation), and a
-// cancelled or fired event simply stops matching its slot's generation.
-// Cancelled events stay in the heap as tombstones until they reach the
-// top, where they are purged without executing — unless the tombstone
-// debt outgrows the live population, in which case a compaction pass
-// rebuilds the heap without them (cancel-heavy workloads like health
-// probe churn would otherwise grow the raw heap without bound).
+// the common case. The binary heap holds only trivially copyable keys
+// (time, seq, slot), so a sift moves 24 B PODs and never touches a
+// closure. Each event's callback (sim/callback.h) is parked in the slot it
+// was scheduled into: moved there once at schedule, invoked in place when
+// it fires, and destroyed right after. Cancellation is a generation
+// counter per slot in a slab the simulator owns — an EventHandle is
+// (slab, slot, generation), and a cancelled or fired event simply stops
+// matching its slot's generation. Cancelled events stay in the heap as
+// tombstones until they reach the top, where they are purged without
+// executing — unless the tombstone debt outgrows the live population, in
+// which case a compaction pass rebuilds the heap without them
+// (cancel-heavy workloads like health probe churn would otherwise grow
+// the raw heap without bound).
 //
 // Threading: a Simulator is single-threaded. When it runs as a shard of a
 // ShardedSimulator (sim/shard.h) it is *owned* by one worker thread;
@@ -27,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -39,8 +44,11 @@ namespace detail {
 
 /// Cancellation slab: one generation counter per event slot. A scheduled
 /// event and its handles agree on (slot, generation); bumping the counter
-/// invalidates both. Slots are recycled through a free list, so a
-/// simulator's steady state performs no allocation per event.
+/// invalidates both. A slot's generation is even while the slot is free
+/// or holds a live event, and odd once that event was cancelled or fired
+/// and until the slot is released, so the queue tells a tombstone from a
+/// live event by the slot alone. Slots are recycled through a free list,
+/// so a simulator's steady state performs no allocation per event.
 struct CancelSlab {
   std::vector<std::uint64_t> generation;
   std::vector<std::uint32_t> free_slots;
@@ -57,7 +65,7 @@ struct CancelSlab {
     return id == std::thread::id{} || id == std::this_thread::get_id();
   }
 
-  /// Reserves a slot; its current generation labels the new event.
+  /// Reserves a slot; its current (even) generation labels the new event.
   std::uint32_t acquire() {
     if (!free_slots.empty()) {
       const std::uint32_t slot = free_slots.back();
@@ -74,6 +82,11 @@ struct CancelSlab {
     return generation[slot] == gen;
   }
 
+  /// True while the event queued in `slot` is neither cancelled nor fired.
+  [[nodiscard]] bool holds_live_event(std::uint32_t slot) const noexcept {
+    return (generation[slot] & 1) == 0;
+  }
+
   /// Invalidates (slot, gen); returns false if it already was.
   bool invalidate(std::uint32_t slot, std::uint64_t gen) noexcept {
     if (!matches(slot, gen)) return false;
@@ -81,8 +94,44 @@ struct CancelSlab {
     return true;
   }
 
-  /// Returns a slot to the free list once its event left the queue.
-  void release(std::uint32_t slot) { free_slots.push_back(slot); }
+  /// Returns a dead slot to the free list once its event left the queue;
+  /// the bump makes its generation even (free) again.
+  void release(std::uint32_t slot) {
+    ++generation[slot];
+    free_slots.push_back(slot);
+  }
+};
+
+/// A heap entry: the event's (time, seq) order plus the slot that holds
+/// its callback and generation. Trivially copyable, so heap sifts are
+/// plain copies.
+struct QueueKey {
+  TimePoint at;
+  std::uint64_t seq;
+  std::uint32_t slot;
+};
+static_assert(std::is_trivially_copyable_v<QueueKey>);
+static_assert(sizeof(QueueKey) <= 24);
+
+/// Slot-indexed callback parking, in fixed-size chunks so a callback's
+/// address never moves: a firing callback runs in place and may schedule
+/// (and so grow the store) while it runs.
+class CallbackStore {
+ public:
+  /// Makes `slot` addressable.
+  void cover(std::uint32_t slot) {
+    while (slot >= chunks_.size() * kChunk) {
+      chunks_.push_back(std::make_unique<Callback[]>(kChunk));
+    }
+  }
+
+  Callback& operator[](std::uint32_t slot) noexcept {
+    return chunks_[slot / kChunk][slot % kChunk];
+  }
+
+ private:
+  static constexpr std::size_t kChunk = 256;
+  std::vector<std::unique_ptr<Callback[]>> chunks_;
 };
 
 }  // namespace detail
@@ -127,11 +176,12 @@ class Simulator {
   /// Root RNG; components should carve off independent streams via split().
   [[nodiscard]] Rng& rng() noexcept { return rng_; }
 
-  /// Schedules `fn` to run at absolute time `at` (>= now).
-  EventHandle schedule_at(TimePoint at, Callback fn);
+  /// Schedules `fn` to run at absolute time `at` (>= now). `fn` is moved
+  /// into its slot once; it runs there and is destroyed after it returns.
+  EventHandle schedule_at(TimePoint at, Callback&& fn);
 
   /// Schedules `fn` to run `delay` from now (delay >= 0).
-  EventHandle schedule_after(Duration delay, Callback fn);
+  EventHandle schedule_after(Duration delay, Callback&& fn);
 
   /// Runs events until the queue drains or `stop()` is called.
   void run();
@@ -188,15 +238,9 @@ class Simulator {
   }
 
  private:
-  struct Event {
-    TimePoint at;
-    std::uint64_t seq;
-    std::uint64_t generation;
-    std::uint32_t slot;
-    Callback fn;
-  };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+    bool operator()(const detail::QueueKey& a,
+                    const detail::QueueKey& b) const noexcept {
       if (a.at != b.at) return a.at > b.at;
       return a.seq > b.seq;
     }
@@ -207,9 +251,10 @@ class Simulator {
   /// the top of the queue (even past the deadline — they will never run).
   bool step(TimePoint deadline);
 
-  /// Rebuilds the heap without tombstones, returning their slots to the
-  /// free list. Triggered from schedule_at; deterministic (depends only on
-  /// the event program, never on wall time or thread scheduling).
+  /// Rebuilds the heap without tombstones, destroying their callbacks and
+  /// returning their slots to the free list. Triggered from schedule_at;
+  /// deterministic (depends only on the event program, never on wall time
+  /// or thread scheduling).
   void compact();
 
   TimePoint now_;
@@ -219,8 +264,10 @@ class Simulator {
   bool stopped_ = false;
   /// Binary heap ordered by Later (std::push_heap/pop_heap). A raw vector
   /// rather than std::priority_queue so compact() can rebuild it in place.
-  std::vector<Event> queue_;
+  std::vector<detail::QueueKey> queue_;
   std::shared_ptr<detail::CancelSlab> slab_;
+  /// The callback of every slot the queue (or a firing event) holds.
+  detail::CallbackStore callbacks_;
   Rng rng_;
 };
 

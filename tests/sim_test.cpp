@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -307,6 +308,154 @@ TEST(Simulator, CompactionPreservesExecutionOrder) {
   EXPECT_GE(storm_compactions, 1u);
   EXPECT_EQ(quiet_order, storm_order)
       << "heap rebuild perturbed the (at, seq) pop order";
+}
+
+// The slot store: the heap holds POD keys only, callbacks are parked by
+// slot. use_count probes show when a callback's captures are destroyed.
+
+static_assert(std::is_trivially_copyable_v<detail::QueueKey>,
+              "heap sifts must move plain bytes, never a Callback");
+static_assert(sizeof(detail::QueueKey) <= 24);
+
+TEST(SimulatorSlotStore, CancelledCapturesReleaseWhenTombstonePops) {
+  Simulator sim;
+  const auto probe = std::make_shared<int>(0);
+  EventHandle doomed =
+      sim.schedule_after(Duration::milliseconds(1), [probe] {});
+  sim.schedule_after(Duration::milliseconds(2), [] {});
+  doomed.cancel();
+  EXPECT_EQ(probe.use_count(), 2) << "tombstone dropped its captures early";
+  // The tombstone sits at the top: it is purged even though the deadline
+  // stops short of every event.
+  sim.run_until(TimePoint::origin() + Duration::microseconds(1));
+  EXPECT_EQ(sim.queue_size(), 1u);
+  EXPECT_EQ(probe.use_count(), 1) << "purged tombstone kept its captures";
+}
+
+TEST(SimulatorSlotStore, CompactionReleasesCancelledCaptures) {
+  Simulator sim;
+  const auto probe = std::make_shared<int>(0);
+  for (int i = 0; i < 32; ++i) {
+    sim.schedule_after(Duration::seconds(3600 + i), [] {});
+  }
+  std::vector<EventHandle> doomed;
+  for (int i = 0; i < 64; ++i) {
+    doomed.push_back(
+        sim.schedule_after(Duration::seconds(60 + i), [probe] {}));
+  }
+  for (auto& handle : doomed) handle.cancel();
+  EXPECT_EQ(probe.use_count(), 65);
+  EXPECT_EQ(sim.compactions(), 0u);
+  // 64 tombstones against 32 live events: the next schedule compacts.
+  sim.schedule_after(Duration::seconds(1), [] {});
+  EXPECT_EQ(sim.compactions(), 1u);
+  EXPECT_EQ(sim.queue_size(), 33u);
+  EXPECT_EQ(probe.use_count(), 1) << "compaction kept tombstone captures";
+}
+
+TEST(SimulatorSlotStore, DestroyedSimulatorReleasesEveryCapture) {
+  const auto probe = std::make_shared<int>(0);
+  EventHandle survivor;
+  {
+    Simulator sim;
+    for (int i = 0; i < 600; ++i) {
+      EventHandle handle = sim.schedule_after(
+          Duration::microseconds(1 + i % 50), [probe] {});
+      if (i % 3 == 0) handle.cancel();
+      survivor = handle;
+    }
+    std::array<std::uint64_t, 16> big{};
+    sim.schedule_after(Duration::seconds(1), [probe, big] {
+      static_cast<void>(big);
+    });
+    sim.run_until(TimePoint::origin() + Duration::microseconds(10));
+    EXPECT_GT(probe.use_count(), 1);
+  }
+  // A handle that outlives its simulator must not keep captures alive.
+  EXPECT_FALSE(survivor.pending());
+  EXPECT_EQ(probe.use_count(), 1) << "pending captures outlived the simulator";
+}
+
+TEST(SimulatorSlotStore, CallbackThatGrowsTheStoreStaysValid) {
+  Simulator sim;
+  constexpr int kChildren = 1500;
+  const auto probe = std::make_shared<int>(0);
+  std::vector<int> fired;
+  std::uint64_t tag_after = 0;
+  long uses_after = 0;
+  sim.schedule_after(
+      Duration::milliseconds(1),
+      [&sim, &fired, &tag_after, &uses_after, probe,
+       tag = std::uint64_t{0xC0FFEE}] {
+        for (int i = 0; i < kChildren; ++i) {
+          sim.schedule_after(Duration::nanoseconds(i % 7),
+                             [&fired, i, probe] { fired.push_back(i); });
+        }
+        // The store grew beneath this running callback; its own captures
+        // must still read back intact.
+        tag_after = tag;
+        uses_after = probe.use_count();
+      });
+  sim.run();
+  EXPECT_EQ(tag_after, 0xC0FFEEu);
+  EXPECT_EQ(uses_after, 2 + kChildren);
+  // Children fire by (delay, scheduling order).
+  std::vector<int> expected;
+  for (int delay = 0; delay < 7; ++delay) {
+    for (int i = delay; i < kChildren; i += 7) expected.push_back(i);
+  }
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(sim.events_executed(), 1u + kChildren);
+  EXPECT_EQ(probe.use_count(), 1);
+}
+
+TEST(SimulatorSlotStore, OversizedCapturesGoThroughTheStore) {
+  Simulator sim;
+  const auto probe = std::make_shared<int>(0);
+  std::array<std::uint64_t, 16> big{};
+  big.fill(5);
+  static_assert(sizeof(big) > Callback::kInlineBytes);
+  std::uint64_t sum = 0;
+  sim.schedule_after(Duration::milliseconds(2), [big, probe, &sum] {
+    for (const auto v : big) sum += v;
+  });
+  EventHandle doomed = sim.schedule_after(
+      Duration::milliseconds(1), [big, probe, &sum] { sum += big[0]; });
+  EXPECT_EQ(probe.use_count(), 3);
+  doomed.cancel();
+  sim.run_until(TimePoint::origin() + Duration::microseconds(1));
+  EXPECT_EQ(probe.use_count(), 2) << "oversized tombstone kept its captures";
+  sim.run();
+  EXPECT_EQ(sum, 80u);
+  EXPECT_EQ(probe.use_count(), 1) << "oversized callback outlived its firing";
+}
+
+/// Counts its own move constructions.
+struct MoveCounter {
+  int* moves;
+  explicit MoveCounter(int* counter) : moves(counter) {}
+  MoveCounter(MoveCounter&& other) noexcept : moves(other.moves) {
+    ++*moves;
+  }
+  MoveCounter(const MoveCounter&) = delete;
+  MoveCounter& operator=(const MoveCounter&) = delete;
+  MoveCounter& operator=(MoveCounter&&) = delete;
+  ~MoveCounter() = default;
+  void operator()() const {}
+};
+
+TEST(SimulatorSlotStore, CallbackMovesOnlyIntoItsSlot) {
+  Simulator sim;
+  int moves = 0;
+  // One move builds the Callback, one parks it in its slot.
+  sim.schedule_after(Duration::milliseconds(50), MoveCounter(&moves));
+  EXPECT_EQ(moves, 2);
+  // Heap sifts past it, through schedule and pop, never touch it.
+  for (int i = 0; i < 200; ++i) {
+    sim.schedule_after(Duration::microseconds(200 - i), [] {});
+  }
+  sim.run();
+  EXPECT_EQ(moves, 2) << "a queued or firing callback was relocated";
 }
 
 }  // namespace
