@@ -18,10 +18,18 @@
 //     (a second string), FNV-1a the copy — against obs::render_jsonl into
 //     a reused buffer, folded in place.
 //
+// The switch-hop row drives datagrams one at a time over a host -> switch
+// -> switch -> host chain and reports events and ns per datagram. Three
+// links, each one event: the two into a switch end in its pipeline, the
+// last at the host. Its baseline is the same chain with an ingress tap
+// armed on both switches, which keeps the arrival-time delivery (a link
+// arrival event, then a pipeline event): 5 events.
+//
 // Verdict (exit status): 0 iff the k=3 duplicate+hash fan-out, the
 // wheel's schedule+cancel churn AND the trace render+hash each show at
 // least a 2x reduction versus the baselines measured in the same run (and
-// the two trace paths hash to the same value).
+// the two trace paths hash to the same value), and a switch-hop datagram
+// costs exactly 3 events (an exact count; its ns are reported only).
 //
 // Env knobs:
 //   NETCO_BENCH_QUICK=1   — short CI-sized timing windows
@@ -39,8 +47,11 @@
 
 #include "common/hash.h"
 #include "common/rng.h"
+#include "device/network.h"
+#include "net/headers.h"
 #include "net/packet.h"
 #include "obs/trace.h"
+#include "openflow/switch.h"
 #include "sim/simulator.h"
 #include "sim/timer_wheel.h"
 
@@ -213,6 +224,70 @@ double bench_steady_queue(double min_seconds, std::size_t payload) {
     }
     simulator.run();
   });
+}
+
+/// One end of the switch-hop chain. The far end hands each datagram it
+/// receives back to the near end's wire until the budget is spent, so at
+/// most one datagram is in flight and no link ever queues.
+class ChainEnd final : public device::Node {
+ public:
+  using Node::Node;
+  void handle_packet(device::PortIndex, net::Packet packet) override {
+    if (remaining == 0) return;
+    --remaining;
+    source->send(0, std::move(packet));
+  }
+  ChainEnd* source = nullptr;
+  std::uint64_t remaining = 0;
+};
+
+struct SwitchHop {
+  double ns_per_datagram = 0.0;
+  std::uint64_t datagrams = 0;
+  std::uint64_t events = 0;
+};
+
+/// Datagrams over host -> switch -> switch -> host, one at a time;
+/// `tapped` arms a no-op ingress tap on both switches.
+SwitchHop bench_switch_hop(double min_seconds, std::size_t payload,
+                           bool tapped) {
+  const std::vector<std::byte> bytes(payload, std::byte{0x5A});
+  const net::Packet packet = net::build_udp(
+      net::EthernetHeader{.dst = net::MacAddress::from_id(2),
+                          .src = net::MacAddress::from_id(1)},
+      std::nullopt,
+      net::Ipv4Header{.src = net::Ipv4Address::from_id(1),
+                      .dst = net::Ipv4Address::from_id(2)},
+      net::UdpHeader{.src_port = 9, .dst_port = 5001}, bytes);
+  SwitchHop hop;
+  hop.ns_per_datagram = time_per_item(min_seconds, 4096, [&](std::uint64_t n) {
+    sim::Simulator simulator(1);
+    device::Network network(simulator);
+    auto& h1 = network.add_node<ChainEnd>("h1");
+    auto& s1 = network.add_node<openflow::OpenFlowSwitch>("s1");
+    auto& s2 = network.add_node<openflow::OpenFlowSwitch>("s2");
+    auto& h2 = network.add_node<ChainEnd>("h2");
+    // Port 0 of each switch faces h1, port 1 faces h2.
+    network.connect(h1, s1);
+    network.connect(s1, s2);
+    network.connect(s2, h2);
+    for (openflow::OpenFlowSwitch* sw : {&s1, &s2}) {
+      openflow::FlowSpec spec;
+      spec.match.with_in_port(0);
+      spec.actions = {openflow::OutputAction::to(1)};
+      sw->table().add(spec, simulator.now());
+      if (tapped) {
+        sw->set_ingress_tap([](device::PortIndex, const net::Packet&) {});
+      }
+    }
+    h2.source = &h1;
+    h2.remaining = n - 1;
+    h1.send(0, packet);
+    simulator.run();
+    hop.datagrams += n;
+    hop.events += simulator.events_executed();
+  });
+  return hop;
 }
 
 /// Schedule + cancel churn: timers that almost never fire (TCP retransmit,
@@ -397,6 +472,16 @@ int main() {
   std::uint64_t trace_hashes[2] = {};
   const Comparison trace = bench_trace_render(min_seconds, trace_hashes);
   const bool trace_same_bytes = trace_hashes[0] == trace_hashes[1];
+  constexpr std::size_t kHopPayload = 200;  // the soaks' datagram payload
+  const SwitchHop tapped_hop =
+      bench_switch_hop(min_seconds, kHopPayload, /*tapped=*/true);
+  const SwitchHop hop =
+      bench_switch_hop(min_seconds, kHopPayload, /*tapped=*/false);
+  const auto events_per = [](const SwitchHop& h) {
+    return static_cast<double>(h.events) / static_cast<double>(h.datagrams);
+  };
+  const double hop_events = events_per(hop);
+  const bool hop_exact = hop.events == 3 * hop.datagrams;
 
   std::printf("fan-out (k=%d dup+hash): deep-copy %.1f ns/pkt -> COW %.1f "
               "ns/pkt  (%.1fx)\n",
@@ -420,8 +505,12 @@ int main() {
               "%.1f ns/rec (%.1fx)%s\n",
               trace.baseline_ns, trace.optimized_ns, trace.speedup(),
               trace_same_bytes ? "" : "  HASH MISMATCH");
+  std::printf("switch hop (h-s-s-h):   tapped   %.2f ev, %.1f ns/dgram "
+              "-> merged  %.2f ev, %.1f ns/dgram (%zuB payload)\n",
+              events_per(tapped_hop), tapped_hop.ns_per_datagram, hop_events,
+              hop.ns_per_datagram, kHopPayload);
 
-  char json[1536];
+  char json[2048];
   std::snprintf(
       json, sizeof json,
       "{\"bench\":\"hotpath\",\"quick\":%s,\"payload_bytes\":%zu,"
@@ -437,7 +526,11 @@ int main() {
       "\"wheel_ns_per_event\":%.2f,\"speedup\":%.2f},"
       "\"trace_render_hash_k5\":{\"snprintf_string_ns_per_record\":%.2f,"
       "\"in_place_ns_per_record\":%.2f,\"speedup\":%.2f,"
-      "\"same_hash\":%s}}",
+      "\"same_hash\":%s},"
+      "\"switch_hop\":{\"payload_bytes\":%zu,"
+      "\"tapped_events_per_datagram\":%.2f,"
+      "\"tapped_ns_per_datagram\":%.2f,"
+      "\"events_per_datagram\":%.2f,\"ns_per_datagram\":%.2f}}",
       quick ? "true" : "false", kPayload, kFanout, fanout.baseline_ns,
       fanout.optimized_ns, fanout.speedup(), hash.baseline_ns,
       hash.optimized_ns, hash.speedup(), sched.baseline_ns,
@@ -445,7 +538,9 @@ int main() {
       wheel.baseline_ns,
       wheel.optimized_ns, wheel.speedup(), trace.baseline_ns,
       trace.optimized_ns, trace.speedup(),
-      trace_same_bytes ? "true" : "false");
+      trace_same_bytes ? "true" : "false", kHopPayload,
+      events_per(tapped_hop), tapped_hop.ns_per_datagram, hop_events,
+      hop.ns_per_datagram);
 
   const char* out_path = std::getenv("NETCO_HOTPATH_OUT");
   if (out_path == nullptr || *out_path == '\0') {
@@ -464,12 +559,14 @@ int main() {
   // ≥ 2x schedule+cancel throughput bar over the binary heap, and the
   // in-place trace render+hash must be ≥ 2x cheaper than the snprintf +
   // string path while hashing the same bytes — all measured in this run.
+  // A switch-hop datagram must cost exactly one event per link.
   const bool pass = fanout.speedup() >= 2.0 && wheel.speedup() >= 2.0 &&
-                    trace.speedup() >= 2.0 && trace_same_bytes;
+                    trace.speedup() >= 2.0 && trace_same_bytes && hop_exact;
   std::printf(
       "\nHot-path verdict: %s (fan-out %.1fx, timer wheel %.1fx, trace "
-      "render+hash %.1fx, bar 2.0x each)\n",
+      "render+hash %.1fx, bar 2.0x each; switch hop %.2f events/datagram, "
+      "bar 3)\n",
       pass ? "PASS" : "FAIL", fanout.speedup(), wheel.speedup(),
-      trace.speedup());
+      trace.speedup(), hop_events);
   return pass ? 0 : 1;
 }

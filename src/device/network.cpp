@@ -9,12 +9,8 @@ Connection Network::connect(Node& a, Node& b, link::LinkConfig config) {
   conn.link = link.get();
   conn.a_port = a.attach_channel(&link->forward());
   conn.b_port = b.attach_channel(&link->reverse());
-  link->forward().bind_sink([&b, port = conn.b_port](net::Packet packet) {
-    b.handle_packet(port, std::move(packet));
-  });
-  link->reverse().bind_sink([&a, port = conn.a_port](net::Packet packet) {
-    a.handle_packet(port, std::move(packet));
-  });
+  link->forward().bind_sink(b, conn.b_port);
+  link->reverse().bind_sink(a, conn.a_port);
   links_.push_back(std::move(link));
   return conn;
 }

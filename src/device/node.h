@@ -2,7 +2,11 @@
 // (hosts, OpenFlow switches, trusted hubs, compare elements...).
 //
 // A node owns nothing about the links; the Network container wires link
-// channels to node ports and binds the receive sinks. Ports are dense
+// channels to node ports and binds each channel's receive side to the
+// node (a Node is the link::Receiver of its ports). A node whose ingress
+// pipeline has a fixed delay sets it with set_merged_ingress_delay(); its
+// links then deliver straight into enter_pipeline() that long after the
+// arrival, one event instead of two. Ports are dense
 // indices starting at 0 — matching OpenFlow port numbering in spirit
 // (OpenFlow numbers from 1; the switch layer handles that offset).
 #pragma once
@@ -24,7 +28,7 @@ using PortIndex = std::uint32_t;
 inline constexpr PortIndex kNoPort = static_cast<PortIndex>(-1);
 
 /// Base class for all simulated devices.
-class Node {
+class Node : public link::Receiver {
  public:
   Node(sim::Simulator& simulator, std::string name)
       : simulator_(simulator), name_(std::move(name)) {}
@@ -35,7 +39,7 @@ class Node {
 
   /// Delivery entry point, invoked by the link layer when a packet fully
   /// arrives on `in_port`.
-  virtual void handle_packet(PortIndex in_port, net::Packet packet) = 0;
+  void handle_packet(PortIndex in_port, net::Packet packet) override = 0;
 
   /// Registers an outgoing channel and returns the new port's index.
   /// Called by Network during wiring; not part of the device API proper.

@@ -55,7 +55,9 @@ class LegacyRouter : public device::Node, public device::Datapath {
  public:
   LegacyRouter(sim::Simulator& simulator, std::string name,
                sim::Duration processing_delay = sim::Duration::microseconds(15))
-      : Node(simulator, std::move(name)), delay_(processing_delay) {}
+      : Node(simulator, std::move(name)), delay_(processing_delay) {
+    set_merged_ingress_delay(delay_);
+  }
 
   /// Declares the interface behind port index == interfaces().size().
   /// Call once per port, in wiring order.
@@ -74,7 +76,12 @@ class LegacyRouter : public device::Node, public device::Datapath {
     return fib_.remove(prefix, len);
   }
 
+  /// Arrival-time entry: routes `delay_` later. Links skip it and deliver
+  /// straight into enter_pipeline() `delay_` after the arrival instead.
   void handle_packet(device::PortIndex in_port, net::Packet packet) override;
+  void enter_pipeline(device::PortIndex in_port, net::Packet packet) override {
+    route(in_port, std::move(packet));
+  }
 
   /// The untrusted-datapath hook (same contract as OpenFlowSwitch).
   void set_interceptor(device::DatapathInterceptor* interceptor) {

@@ -8,8 +8,13 @@
 
 namespace netco::link {
 
+void Receiver::enter_pipeline(std::uint32_t /*port*/, net::Packet /*packet*/) {
+  NETCO_ASSERT_MSG(false,
+                   "merged delivery to a receiver without an ingress delay");
+}
+
 void Channel::bind_remote(sim::ShardChannel& channel, DeliverFn remote_sink) {
-  NETCO_ASSERT_MSG(sink_ == nullptr,
+  NETCO_ASSERT_MSG(receiver_ == nullptr,
                    "bind_remote on a channel that already has a local sink");
   NETCO_ASSERT(static_cast<bool>(remote_sink));
   NETCO_ASSERT_MSG(
@@ -21,7 +26,7 @@ void Channel::bind_remote(sim::ShardChannel& channel, DeliverFn remote_sink) {
 }
 
 void Channel::send(net::Packet packet) {
-  NETCO_ASSERT_MSG(sink_ != nullptr || remote_ != nullptr,
+  NETCO_ASSERT_MSG(receiver_ != nullptr || remote_ != nullptr,
                    "channel used before bind_sink()/bind_remote()");
   if (down_) {
     ++stats_.dropped_down;
@@ -39,8 +44,7 @@ void Channel::send(net::Packet packet) {
     }
     return;
   }
-  if (!busy_) {
-    busy_ = true;
+  if (queue_.empty() && simulator_.now() >= busy_until_) {
     start_transmission(std::move(packet));
     return;
   }
@@ -61,10 +65,14 @@ void Channel::send(net::Packet packet) {
       std::max<std::uint64_t>(stats_.max_queue_bytes, queued_bytes_);
   queue_depth_->observe(static_cast<double>(queued_bytes_));
   queue_.push_back(std::move(packet));
+  if (queue_.size() == 1) {
+    simulator_.schedule_at(busy_until_, [this] { drain(); });
+  }
 }
 
 void Channel::start_transmission(net::Packet packet) {
   const sim::Duration tx = sim::transmission_time(config_.rate, packet.size());
+  busy_until_ = simulator_.now() + tx;
   ++stats_.tx_packets;
   stats_.tx_bytes += packet.size();
   const sim::Duration arrival = tx + config_.propagation + extra_latency_;
@@ -77,24 +85,31 @@ void Channel::start_transmission(net::Packet packet) {
                   sim::Callback([this, p = std::move(packet)]() mutable {
                     remote_sink_(std::move(p));
                   }));
+  } else if (const auto delay = receiver_->merged_ingress_delay()) {
+    // ...straight into the receiver's pipeline, its fixed ingress delay
+    // after the arrival instant...
+    ++receiver_->merged_in_flight_;
+    simulator_.schedule_after(
+        arrival + *delay, [this, p = std::move(packet)]() mutable {
+          --receiver_->merged_in_flight_;
+          receiver_->enter_pipeline(receiver_port_, std::move(p));
+        });
   } else {
+    // ...or to the receiver at the arrival instant.
     simulator_.schedule_after(arrival, [this, p = std::move(packet)]() mutable {
-      sink_(std::move(p));
+      receiver_->handle_packet(receiver_port_, std::move(p));
     });
   }
-  // ...and free the transmitter after serialization only.
-  simulator_.schedule_after(tx, [this] { on_transmit_done(); });
 }
 
-void Channel::on_transmit_done() {
-  if (queue_.empty()) {
-    busy_ = false;
-    return;
-  }
+void Channel::drain() {
   net::Packet next = std::move(queue_.front());
   queue_.pop_front();
   queued_bytes_ -= next.size();
   start_transmission(std::move(next));
+  if (!queue_.empty()) {
+    simulator_.schedule_at(busy_until_, [this] { drain(); });
+  }
 }
 
 }  // namespace netco::link

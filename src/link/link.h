@@ -5,11 +5,25 @@
 // transmitter for size*8/rate, then arrives at the peer after the
 // propagation delay. If the transmitter is busy, the packet waits in the
 // queue; if the queue is full, it is dropped (and counted).
+//
+// The transmitter is lazy. It keeps the instant it frees up
+// (busy_until_) instead of an event that says so: a packet handed to an
+// idle channel with an empty queue starts at once, and a drain event is
+// scheduled at busy_until_ only while packets wait. So an unqueued packet
+// costs one event, its arrival.
+//
+// A receiver with a fixed ingress pipeline delay (an OpenFlow switch, a
+// legacy router) can have that delay folded into the arrival: the channel
+// then schedules one event at arrival + delay that enters the receiver's
+// pipeline directly (Receiver::enter_pipeline), instead of an arrival
+// event that schedules the pipeline event. The receiver keeps its
+// arrival-time rules exact itself (see OpenFlowSwitch).
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "common/units.h"
@@ -47,9 +61,51 @@ struct LinkStats {
   std::uint64_t max_queue_bytes = 0;  ///< high-water mark
 };
 
-/// One direction of a link: a serializing transmitter + delivery callback.
+/// The receive side of a channel: one port of a device. device::Node
+/// implements it, and Network::connect() binds each direction to its
+/// peer's port.
+class Receiver {
+ public:
+  /// A packet fully arrived on `port`; runs at the arrival instant.
+  virtual void handle_packet(std::uint32_t port, net::Packet packet) = 0;
+
+  /// Merged delivery: runs at arrival + merged_ingress_delay() in place of
+  /// handle_packet() and the pipeline event it would schedule. Only called
+  /// on receivers that set a merged ingress delay.
+  virtual void enter_pipeline(std::uint32_t port, net::Packet packet);
+
+  /// The fixed ingress pipeline delay a channel folds into its arrival
+  /// event, or nullopt for arrival-time delivery. Channels read it when
+  /// they transmit, so a change applies to packets sent afterwards.
+  [[nodiscard]] std::optional<sim::Duration> merged_ingress_delay()
+      const noexcept {
+    return merged_delay_;
+  }
+
+  /// Merged deliveries scheduled to this receiver that have not entered
+  /// its pipeline yet.
+  [[nodiscard]] std::uint64_t merged_in_flight() const noexcept {
+    return merged_in_flight_;
+  }
+
+ protected:
+  Receiver() = default;
+  ~Receiver() = default;
+
+  void set_merged_ingress_delay(std::optional<sim::Duration> delay) noexcept {
+    merged_delay_ = delay;
+  }
+
+ private:
+  friend class Channel;
+  std::optional<sim::Duration> merged_delay_;
+  std::uint64_t merged_in_flight_ = 0;
+};
+
+/// One direction of a link: a serializing transmitter + delivery to the
+/// receiving port.
 ///
-/// Owned by Link; exposed so devices can inspect stats. The delivery sink is
+/// Owned by Link; exposed so devices can inspect stats. The receiver is
 /// bound at wiring time by the device layer.
 class Channel {
  public:
@@ -66,8 +122,12 @@ class Channel {
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  /// Binds the receive side. Must be called exactly once before traffic.
-  void bind_sink(DeliverFn sink) { sink_ = std::move(sink); }
+  /// Binds the receive side to `port` of `receiver`. Must be called
+  /// exactly once before traffic.
+  void bind_sink(Receiver& receiver, std::uint32_t port) noexcept {
+    receiver_ = &receiver;
+    receiver_port_ = port;
+  }
 
   /// Cross-shard mode: the receive side lives on another simulation shard
   /// (sim/shard.h), so deliveries travel over `channel` instead of the
@@ -108,7 +168,7 @@ class Channel {
   /// Counters for this direction.
   [[nodiscard]] const LinkStats& stats() const noexcept { return stats_; }
 
-  /// Current queue occupancy in bytes (excludes the in-flight packet).
+  /// Current queue occupancy in bytes (excludes the packet on the wire).
   [[nodiscard]] std::size_t queued_bytes() const noexcept {
     return queued_bytes_;
   }
@@ -118,19 +178,24 @@ class Channel {
 
  private:
   void start_transmission(net::Packet packet);
-  void on_transmit_done();
+  /// Starts the head of the queue once the transmitter frees up; re-arms
+  /// itself while packets wait.
+  void drain();
 
   sim::Simulator& simulator_;
   LinkConfig config_;
   obs::Observability* obs_;
   obs::Histogram* queue_depth_;   ///< "link.queue_depth_bytes"
   obs::Counter* drop_counter_;    ///< "link.dropped_packets"
-  DeliverFn sink_;
+  Receiver* receiver_ = nullptr;
+  std::uint32_t receiver_port_ = 0;
   sim::ShardChannel* remote_ = nullptr;
   DeliverFn remote_sink_;
   std::deque<net::Packet> queue_;
   std::size_t queued_bytes_ = 0;
-  bool busy_ = false;
+  /// When the packet on the wire finishes serializing. A drain event is
+  /// pending at this instant exactly while queue_ is non-empty.
+  sim::TimePoint busy_until_;
   bool down_ = false;
   double loss_rate_ = 0.0;
   sim::Duration extra_latency_ = sim::Duration::zero();

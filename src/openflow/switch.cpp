@@ -1,5 +1,6 @@
 #include "openflow/switch.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/assert.h"
@@ -17,7 +18,9 @@ OpenFlowSwitch::OpenFlowSwitch(sim::Simulator& simulator, std::string name,
       table_hit_counter_(&obs_->metrics.counter("switch.table_hits")),
       table_miss_counter_(&obs_->metrics.counter("switch.table_misses")),
       reroute_counter_(&obs_->metrics.counter("failover.reroute")),
-      static_hit_counter_(&obs_->metrics.counter("resilience.static_hit")) {}
+      static_hit_counter_(&obs_->metrics.counter("resilience.static_hit")) {
+  set_merged_ingress_delay(profile_.processing_delay);
+}
 
 bool OpenFlowSwitch::port_blocked(device::PortIndex port) const noexcept {
   return port < blocked_.size() && blocked_[port];
@@ -40,17 +43,22 @@ bool OpenFlowSwitch::port_live(device::PortIndex port) const noexcept {
   return !(port < port_dead_.size() && port_dead_[port]);
 }
 
+void OpenFlowSwitch::set_ingress_tap(IngressTap tap) {
+  NETCO_ASSERT_MSG(!tap || merged_in_flight() == 0,
+                   "ingress tap armed while merged deliveries are in flight "
+                   "(arm taps before traffic)");
+  tap_ = std::move(tap);
+  if (tap_) {
+    set_merged_ingress_delay(std::nullopt);
+  } else {
+    set_merged_ingress_delay(profile_.processing_delay);
+  }
+}
+
 void OpenFlowSwitch::handle_packet(device::PortIndex in_port,
                                    net::Packet packet) {
   if (tap_) tap_(in_port, packet);
-  if (port_blocked(in_port)) {
-    ++stats_.dropped_blocked_port;
-    return;
-  }
-  ++stats_.rx_packets;
-  stats_.rx_bytes += packet.size();
-  if (port_rx_.size() <= in_port) port_rx_.resize(in_port + 1, 0);
-  ++port_rx_[in_port];
+  if (!admit(in_port, packet, port_blocked(in_port))) return;
 
   // The pipeline latency models the ASIC/softswitch ingress-to-egress
   // delay; lookups themselves are "free" afterwards.
@@ -59,6 +67,51 @@ void OpenFlowSwitch::handle_packet(device::PortIndex in_port,
       [this, in_port, p = std::move(packet)]() mutable {
         pipeline(in_port, std::move(p));
       });
+}
+
+void OpenFlowSwitch::enter_pipeline(device::PortIndex in_port,
+                                    net::Packet packet) {
+  if (!admit(in_port, packet, blocked_at_arrival(in_port))) return;
+  pipeline(in_port, std::move(packet));
+}
+
+bool OpenFlowSwitch::admit(device::PortIndex in_port,
+                           const net::Packet& packet, bool blocked) {
+  if (blocked) {
+    ++stats_.dropped_blocked_port;
+    return false;
+  }
+  ++stats_.rx_packets;
+  stats_.rx_bytes += packet.size();
+  if (port_rx_.size() <= in_port) port_rx_.resize(in_port + 1, 0);
+  ++port_rx_[in_port];
+  return true;
+}
+
+bool OpenFlowSwitch::blocked_at_arrival(device::PortIndex port) {
+  bool blocked = port_blocked(port);
+  if (block_log_.empty()) return blocked;
+  const sim::TimePoint arrival =
+      simulator().now() - profile_.processing_delay;
+  // Changes before this arrival are before every later one too.
+  prune_block_log(arrival);
+  // Undo, newest first, the changes on `port` that an arrival-time
+  // delivery would not have seen: those at later instants, and those at
+  // the arrival's own instant applied after its place in the event order
+  // (this event carries that place).
+  const std::uint64_t order = simulator().order();
+  for (auto it = block_log_.rbegin(); it != block_log_.rend(); ++it) {
+    if (it->at == arrival && it->order < order) break;
+    if (it->port == port) blocked = it->was_blocked;
+  }
+  return blocked;
+}
+
+void OpenFlowSwitch::prune_block_log(sim::TimePoint before) {
+  const auto keep = std::find_if(
+      block_log_.begin(), block_log_.end(),
+      [before](const BlockChange& change) { return change.at >= before; });
+  block_log_.erase(block_log_.begin(), keep);
 }
 
 void OpenFlowSwitch::pipeline(device::PortIndex in_port, net::Packet packet) {
@@ -222,6 +275,12 @@ void OpenFlowSwitch::receive_packet_out(PacketOut out) {
 void OpenFlowSwitch::receive_port_mod(const PortMod& mod) {
   if (mod.port == device::kNoPort) return;
   if (blocked_.size() <= mod.port) blocked_.resize(mod.port + 1, false);
+  const sim::TimePoint now = simulator().now();
+  prune_block_log(now - profile_.processing_delay);
+  block_log_.push_back(BlockChange{.at = now,
+                                   .order = simulator().order(),
+                                   .port = mod.port,
+                                   .was_blocked = blocked_[mod.port]});
   blocked_[mod.port] = mod.blocked;
   NETCO_LOG_INFO(name(), "port {} {}", mod.port,
                  mod.blocked ? "blocked" : "unblocked");

@@ -10,6 +10,16 @@
 //    duplicate, drop, or fabricate packets at will.
 //  * an ingress tap — the monitoring used in the §VI case study (the
 //    tcpdump-on-every-interface screen).
+//
+// Ingress timing. A packet arrives, waits processing_delay, then runs the
+// pipeline (interceptor, table). Nothing else the switch does depends on
+// that wait, so links deliver straight into enter_pipeline() one
+// processing_delay after the arrival: one event per hop, not two. The
+// rules stated at the arrival instant stay exact. A port block is judged
+// by the block state at the arrival, read back from a short log of block
+// changes. An armed ingress tap must see the packet at its arrival, so
+// while one is armed links deliver at the arrival (handle_packet()) and
+// the pipeline event follows as before.
 #pragma once
 
 #include <cstdint>
@@ -67,6 +77,7 @@ class OpenFlowSwitch : public device::Node, public device::Datapath {
 
   // --- datapath --------------------------------------------------------
   void handle_packet(device::PortIndex in_port, net::Packet packet) override;
+  void enter_pipeline(device::PortIndex in_port, net::Packet packet) override;
 
   /// Applies an OF action list with `in_port` context (shared by the
   /// table path, packet-out handling and interceptors).
@@ -101,9 +112,11 @@ class OpenFlowSwitch : public device::Node, public device::Datapath {
     interceptor_ = interceptor;
   }
 
-  /// Monitoring tap fired for every ingress packet (before any processing).
+  /// Monitoring tap fired for every ingress packet at its arrival (before
+  /// any processing). Arming one while merged deliveries into this switch
+  /// are in flight aborts: they would reach the pipeline unseen.
   using IngressTap = std::function<void(device::PortIndex, const net::Packet&)>;
-  void set_ingress_tap(IngressTap tap) { tap_ = std::move(tap); }
+  void set_ingress_tap(IngressTap tap);
 
   /// The flow table (single table 0, as in OF 1.0 / the prototype).
   [[nodiscard]] FlowTable& table() noexcept { return table_; }
@@ -136,6 +149,24 @@ class OpenFlowSwitch : public device::Node, public device::Datapath {
   }
 
  private:
+  /// A port block change, kept while a packet that arrived before it can
+  /// still be waiting out processing_delay.
+  struct BlockChange {
+    sim::TimePoint at;
+    std::uint64_t order;  ///< simulator order() when it was applied
+    device::PortIndex port;
+    bool was_blocked;
+  };
+
+  /// Rx accounting and the blocked-port drop, shared by both deliveries;
+  /// false when the packet is dropped.
+  bool admit(device::PortIndex in_port, const net::Packet& packet,
+             bool blocked);
+  /// Whether `port` was blocked when a merged delivery now entering the
+  /// pipeline arrived, one processing_delay ago.
+  bool blocked_at_arrival(device::PortIndex port);
+  /// Drops the logged block changes made before `before`.
+  void prune_block_log(sim::TimePoint before);
   void pipeline(device::PortIndex in_port, net::Packet packet);
   /// Table lookup under the liveness-guard vector, with failover
   /// counter/trace accounting (shared by the pipeline and OFPP_TABLE).
@@ -155,6 +186,7 @@ class OpenFlowSwitch : public device::Node, public device::Datapath {
   IngressTap tap_;
   SwitchStats stats_;
   std::vector<bool> blocked_;
+  std::vector<BlockChange> block_log_;  ///< oldest first; rarely non-empty
   std::vector<bool> port_dead_;  ///< liveness-guard state (true = dead)
   std::vector<std::uint64_t> port_rx_;
   std::vector<std::uint64_t> port_tx_;

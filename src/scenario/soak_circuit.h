@@ -69,6 +69,10 @@ class SoakCircuit {
     return topo_->simulator();
   }
 
+  /// The circuit's topology, for inspecting or instrumenting it before
+  /// start().
+  [[nodiscard]] topo::Figure3Topology& topology() noexcept { return *topo_; }
+
   /// The sink the circuit's records must reach: the invariant checker,
   /// behind the protocol filter when options.protocol_trace_only.
   [[nodiscard]] obs::TraceSink& trace_sink() noexcept {

@@ -99,6 +99,7 @@ bool Simulator::step(TimePoint deadline) {
     ++slab_->generation[top.slot];
     --slab_->live;
     now_ = top.at;
+    order_ = top.seq + 1;
     ++executed_;
     fn();
     fn.reset();
@@ -121,7 +122,10 @@ void Simulator::run_until(TimePoint deadline) {
   stopped_ = false;
   while (!stopped_ && step(deadline)) {
   }
-  if (!stopped_ && now_ < deadline) now_ = deadline;
+  if (!stopped_ && now_ < deadline) {
+    now_ = deadline;
+    order_ = UINT64_MAX;
+  }
 }
 
 }  // namespace netco::sim

@@ -197,6 +197,13 @@ class Simulator {
   /// in-flight event completes.
   void stop() noexcept { stopped_ = true; }
 
+  /// Where the run stands within now() in the (time, seq) event order:
+  /// 1 + the seq of the event running (or last run), 0 before the first
+  /// event, and the maximum once run_until() has moved now() past the
+  /// last event it ran. Something done at now() took place before an
+  /// event keyed (now(), seq) iff the order() read then is <= seq.
+  [[nodiscard]] std::uint64_t order() const noexcept { return order_; }
+
   /// Number of events executed since construction (for tests/telemetry).
   [[nodiscard]] std::uint64_t events_executed() const noexcept {
     return executed_;
@@ -259,6 +266,7 @@ class Simulator {
 
   TimePoint now_;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t order_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t compactions_ = 0;
   bool stopped_ = false;

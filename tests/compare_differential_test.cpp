@@ -13,7 +13,18 @@
 //    releases, never *what* is released.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "faultinject/fault_plan.h"
+#include "openflow/switch.h"
+#include "scenario/circuit_driver.h"
 #include "scenario/soak.h"
+#include "scenario/soak_circuit.h"
 
 namespace netco::scenario {
 namespace {
@@ -147,6 +158,179 @@ TEST(CompareDifferential, PeriodOneEscalatesEverything) {
   EXPECT_EQ(degenerate.sampled_escalated, degenerate.compare_released);
   EXPECT_EQ(degenerate.egress_set_hash, full.egress_set_hash);
   EXPECT_EQ(degenerate.compare_released, full.compare_released);
+}
+
+// --- Merged link arrival + switch pipeline -----------------------------------
+// Links deliver into an OpenFlow switch with one event at arrival +
+// processing_delay (DESIGN §9, "Events per datagram"). That event takes
+// its seq when the frame is sent instead of when it arrives, so events at
+// the same nanosecond may run in another order. An armed ingress tap
+// forces the two-event arrival-time delivery, which is how these tests
+// build the reference run: a no-op tap on every switch of the circuit.
+// Every record whose (time, event, packet_id) no other record of its run
+// shares must come out of both runs; the tied ones, whose order and
+// replica fields the tie order decides, are only counted.
+
+/// Records every trace record, then forwards it to the circuit's sink.
+class RecordingSink final : public obs::TraceSink {
+ public:
+  explicit RecordingSink(obs::TraceSink& downstream)
+      : downstream_(downstream) {}
+  void append(const obs::TraceRecord& record) override {
+    records.push_back(record);
+    downstream_.append(record);
+  }
+  std::vector<obs::TraceRecord> records;
+
+ private:
+  obs::TraceSink& downstream_;
+};
+
+struct RecordedRun {
+  SoakResult result;
+  std::vector<obs::TraceRecord> records;
+};
+
+/// run_soak(options), with every record kept, optionally with a no-op
+/// ingress tap on every OpenFlow switch (arrival-time delivery).
+RecordedRun run_recorded(const SoakOptions& options, bool arrival_time) {
+  obs::global().metrics.reset();
+  SoakCircuit circuit(options);
+  std::size_t tapped = 0;
+  if (arrival_time) {
+    for (const auto& node : circuit.topology().network().nodes()) {
+      if (auto* sw = dynamic_cast<openflow::OpenFlowSwitch*>(node.get())) {
+        sw->set_ingress_tap([](device::PortIndex, const net::Packet&) {});
+        EXPECT_FALSE(sw->merged_ingress_delay().has_value());
+        ++tapped;
+      }
+    }
+    EXPECT_GT(tapped, 0u);
+  }
+  RecordingSink sink(circuit.trace_sink());
+  obs::ScopedTraceSink scoped(sink);
+  sim::TimePoint cap = circuit.start();
+  while (cap != SoakCircuit::done_marker()) {
+    circuit.simulator().run_until(cap);
+    cap = circuit.on_window(cap);
+  }
+  circuit.finalize();
+  return RecordedRun{circuit.take_result(), std::move(sink.records)};
+}
+
+using RecordKey = std::tuple<std::int64_t, obs::TraceEvent, std::uint64_t>;
+
+RecordKey key_of(const obs::TraceRecord& r) {
+  return {r.at_ns, r.event, r.packet_id};
+}
+
+/// The rendered lines of the records whose (time, event, packet_id) no
+/// other record of the run shares, sorted.
+std::vector<std::string> untied_lines(const std::vector<obs::TraceRecord>& rs,
+                                      std::size_t* tied) {
+  std::map<RecordKey, int> count;
+  for (const auto& r : rs) ++count[key_of(r)];
+  std::vector<std::string> lines;
+  std::string buffer;
+  *tied = 0;
+  for (const auto& r : rs) {
+    if (count[key_of(r)] > 1) {
+      ++*tied;
+      continue;
+    }
+    lines.emplace_back(obs::render_jsonl(r, buffer));
+  }
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+/// Asserts the merged and the arrival-time run agree record for record
+/// outside the ties; returns whether their stream hashes differ (whether
+/// some tie came out in another order).
+bool expect_same_untied_records(const SoakOptions& options,
+                                const std::string& name) {
+  const RecordedRun merged = run_recorded(options, false);
+  const RecordedRun reference = run_recorded(options, true);
+  EXPECT_TRUE(merged.result.ok()) << name;
+  EXPECT_TRUE(reference.result.ok()) << name;
+  EXPECT_EQ(merged.records.size(), reference.records.size()) << name;
+  std::size_t merged_tied = 0;
+  std::size_t reference_tied = 0;
+  const auto a = untied_lines(merged.records, &merged_tied);
+  const auto b = untied_lines(reference.records, &reference_tied);
+  EXPECT_GT(a.size(), 0u) << name;
+  EXPECT_EQ(merged_tied, reference_tied) << name;
+  std::vector<std::string> only_merged;
+  std::vector<std::string> only_reference;
+  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                      std::back_inserter(only_merged));
+  std::set_difference(b.begin(), b.end(), a.begin(), a.end(),
+                      std::back_inserter(only_reference));
+  EXPECT_TRUE(only_merged.empty() && only_reference.empty())
+      << name << ": " << only_merged.size() << " untied records only in the "
+      << "merged run, " << only_reference.size() << " only in the reference"
+      << (only_merged.empty() ? std::string() : "; first: " + only_merged[0]);
+  return merged.result.stream_hash != reference.result.stream_hash;
+}
+
+TEST(MergedIngressDifferential, GoldenConfigsMatchArrivalTimeDelivery) {
+  // No tie comes out in another order in these runs, so the whole
+  // streams agree; FullVerifyReproducesGoldenStreamHashes pins them.
+  SoakOptions health = faulted_options(3, core::ReleasePolicy::kMajority, 77);
+  health.health.enabled = true;
+  const std::pair<SoakOptions, const char*> configs[] = {
+      {faulted_options(3, core::ReleasePolicy::kMajority, 77), "k3-majority"},
+      {faulted_options(2, core::ReleasePolicy::kFirstCopy, 101),
+       "k2-firstcopy"},
+      {health, "k3-health"},
+      {benign_options(false), "k5-benign"},
+      {benign_options(true), "k5-benign-sampled"},
+  };
+  for (const auto& [options, name] : configs) {
+    EXPECT_FALSE(expect_same_untied_records(options, name))
+        << name << ": stream hash moved";
+  }
+}
+
+TEST(MergedIngressDifferential, FlashCrowdFleetMatchesArrivalTimeDelivery) {
+  // perfbench's fleet-flash shape (k=3, 600 flash-crowd sessions/s, the
+  // fault plan drawn from its plan seed for the arrival phase), with 1 s
+  // of arrivals and 4 circuits, compared circuit by circuit: a fleet's
+  // per-circuit stream is its solo run with circuit_seed() (see
+  // scenario/circuit_driver.h), and a solo circuit can be instrumented.
+  //
+  // Over longer runs a reordered tie can also change what happens next:
+  // two packet-ins reaching the compare at one nanosecond are served in
+  // the other order, or a link-loss draw takes another value of the
+  // shared simulator RNG. From there on the runs differ in untied
+  // records too (3 of fleet-flash's 8 circuits at 4 s); such runs show up
+  // as a moved stream hash and as seed-to-seed spread in the SLOs, not as
+  // a bias.
+  SoakOptions base;
+  base.k = 3;
+  base.seed = 0xF10F10;
+  base.workload.enabled = true;
+  base.workload.scenario = workload::Scenario::kFlashCrowd;
+  base.workload.session_arrivals_per_sec = 600.0;
+  base.workload.duration = sim::Duration::seconds(1);
+  faultinject::FaultPlanParams params;
+  params.k = base.k;
+  params.horizon = base.workload.duration;
+  params.start = sim::Duration::milliseconds(100);
+  base.plan = faultinject::FaultPlan::random(
+      0xF10F10 ^ static_cast<std::uint64_t>(workload::Scenario::kFlashCrowd)
+                     << 8 ^
+          600,
+      params);
+  std::size_t reordered = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    SoakOptions options = base;
+    options.seed = circuit_seed(base.seed, i);
+    reordered += expect_same_untied_records(
+        options, "flash circuit " + std::to_string(i));
+  }
+  // Not vacuous: some circuit's ties did come out in another order.
+  EXPECT_GT(reordered, 0u);
 }
 
 }  // namespace

@@ -125,6 +125,25 @@ TEST(LegacyRouter, ForwardsWithL2RewriteAndTtlDecrement) {
   EXPECT_TRUE(net::checksums_valid(seen));  // incremental fix is correct
 }
 
+TEST(LegacyRouter, ForwardingTakesTwoLinkHopsPlusTheRouterDelay) {
+  RouterFixture f;
+  std::vector<sim::TimePoint> seen;
+  f.h2.set_rx_tap([&](const net::Packet&) { seen.push_back(f.sim.now()); });
+  const net::Packet packet = f.h1_to_h2();
+  const sim::Duration hop =
+      sim::transmission_time(DataRate::gigabits_per_sec(10), packet.size()) +
+      sim::Duration::microseconds(1);
+  f.h1.send(0, packet);  // straight onto the wire, no host CPU
+  f.sim.run();
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], sim::TimePoint::origin() + hop +
+                         sim::Duration::microseconds(15) + hop);
+  EXPECT_EQ(f.router.router_stats().forwarded, 1u);
+  // One event into the router (arrival and routing delay merged), one
+  // arrival at h2, one for h2's receive CPU.
+  EXPECT_EQ(f.sim.events_executed(), 3u);
+}
+
 TEST(LegacyRouter, TtlExpiryDropsAndSignals) {
   RouterFixture f;
   int time_exceeded = 0;

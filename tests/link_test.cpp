@@ -339,5 +339,108 @@ TEST(Link, BindRemoteKeepsQueueingSemantics) {
   EXPECT_LT(first.seq, second.seq);
 }
 
+// --- transmitter timing --------------------------------------------------
+// 1500 B at 1 Gb/s serializes in 12 µs; with 5 µs of propagation a frame
+// sent at t arrives at t + 17 µs.
+
+struct SlowLink {
+  sim::Simulator sim;
+  Network net{sim};
+  SinkNode& a = net.add_node<SinkNode>("a");
+  SinkNode& b = net.add_node<SinkNode>("b");
+  device::Connection conn;
+
+  SlowLink() {
+    link::LinkConfig config;
+    config.rate = DataRate::gigabits_per_sec(1);
+    config.propagation = sim::Duration::microseconds(5);
+    conn = net.connect(a, b, config);
+  }
+
+  [[nodiscard]] const link::Channel& forward() const {
+    return conn.link->forward();
+  }
+  [[nodiscard]] std::vector<std::int64_t> arrival_us() const {
+    std::vector<std::int64_t> out;
+    for (const auto& arrival : b.arrivals) out.push_back(arrival.at.ns() / 1000);
+    return out;
+  }
+};
+
+TEST(Link, SendAtTheInstantTheWireFreesLeavesAtOnce) {
+  // The second frame is handed over at exactly 12 µs, when the first
+  // finishes serializing: it goes out then and arrives 17 µs later.
+  SlowLink f;
+  f.a.send(0, frame(1500));
+  f.sim.schedule_at(sim::TimePoint::from_ns(12'000),
+                    [&] { f.a.send(0, frame(1500)); });
+  f.sim.run();
+  EXPECT_EQ(f.arrival_us(), (std::vector<std::int64_t>{17, 29}));
+  EXPECT_EQ(f.forward().stats().max_queue_bytes, 0u);
+}
+
+TEST(Link, SendScheduledAheadOfTheWireFreeingLeavesAtThatInstant) {
+  // Same instant, but the hand-over was scheduled before the first frame
+  // was sent, so it runs first among the events at 12 µs. The frame still
+  // leaves at 12 µs, not later.
+  SlowLink f;
+  f.sim.schedule_at(sim::TimePoint::from_ns(12'000),
+                    [&] { f.a.send(0, frame(1500)); });
+  f.a.send(0, frame(1500));
+  f.sim.run();
+  EXPECT_EQ(f.arrival_us(), (std::vector<std::int64_t>{17, 29}));
+}
+
+TEST(Link, BurstDrainsInFifoOrderWithOneEventPerWaitingFrame) {
+  // N back-to-back frames: N arrivals, and one drain event for each of the
+  // N-1 frames that had to wait. A frame that finds the wire idle costs
+  // no event besides its arrival.
+  SlowLink f;
+  constexpr std::size_t kBurst = 6;
+  for (std::size_t i = 0; i < kBurst; ++i) f.a.send(0, frame(1000 + i));
+  f.sim.run();
+  ASSERT_EQ(f.b.arrivals.size(), kBurst);
+  std::int64_t wire_free_ns = 0;  // frame i starts when frame i-1 is out
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    EXPECT_EQ(f.b.arrivals[i].packet.size(), 1000 + i);
+    wire_free_ns += static_cast<std::int64_t>(8 * (1000 + i));  // 1 Gb/s
+    EXPECT_EQ(f.b.arrivals[i].at.ns(), wire_free_ns + 5'000);
+  }
+  EXPECT_EQ(f.sim.events_executed(), kBurst + (kBurst - 1));
+  EXPECT_EQ(f.forward().queued_bytes(), 0u);
+}
+
+TEST(Link, ExtraLatencyAppliesFromEachFramesTransmissionStart) {
+  // Three frames queue at t=0 and start at 0, 12 and 24 µs. The extra
+  // latency set at 6 µs misses the first (already on the wire) and
+  // delays the two that start later; clearing it at 30 µs does not pull
+  // back the third, which started at 24 µs.
+  SlowLink f;
+  for (int i = 0; i < 3; ++i) f.a.send(0, frame(1500));
+  f.sim.schedule_at(sim::TimePoint::from_ns(6'000), [&] {
+    f.conn.link->set_extra_latency(sim::Duration::microseconds(100));
+  });
+  f.sim.schedule_at(sim::TimePoint::from_ns(30'000), [&] {
+    f.conn.link->set_extra_latency(sim::Duration::zero());
+  });
+  f.sim.run();
+  EXPECT_EQ(f.arrival_us(), (std::vector<std::int64_t>{17, 129, 141}));
+}
+
+TEST(Link, DownChannelStillDrainsWhatWasQueued) {
+  // Taking the channel down discards what is handed to it afterwards;
+  // the frames already queued still go out, back to back.
+  SlowLink f;
+  for (int i = 0; i < 3; ++i) f.a.send(0, frame(1500));
+  f.sim.schedule_at(sim::TimePoint::from_ns(1'000),
+                    [&] { f.conn.link->set_down(true); });
+  f.sim.schedule_at(sim::TimePoint::from_ns(2'000),
+                    [&] { f.a.send(0, frame(1500)); });
+  f.sim.run();
+  EXPECT_EQ(f.arrival_us(), (std::vector<std::int64_t>{17, 29, 41}));
+  EXPECT_EQ(f.forward().stats().dropped_down, 1u);
+  EXPECT_EQ(f.forward().stats().tx_packets, 3u);
+}
+
 }  // namespace
 }  // namespace netco

@@ -465,5 +465,123 @@ TEST(Switch, PerPortCountersTrack) {
   EXPECT_EQ(f.sw.port_tx()[1], 2u);
 }
 
+// --- Arrival-time rules ----------------------------------------------------
+// A packet h0 sends at t=0 arrives at the switch at kArrival (default link:
+// 10 Gb/s, 1 µs propagation) and leaves its pipeline 15 µs later. Port
+// blocks and the ingress tap are judged at the arrival, not at the end of
+// the pipeline.
+
+constexpr std::size_t kUdpFrameBytes = 14 + 20 + 8 + 64;  // udp_packet()
+const sim::TimePoint kArrival =
+    sim::TimePoint::origin() +
+    sim::transmission_time(DataRate::gigabits_per_sec(10), kUdpFrameBytes) +
+    sim::Duration::microseconds(1);
+
+/// Forwards everything from port 0 to port 1.
+void forward_0_to_1(SwitchFixture& f) {
+  FlowSpec spec;
+  spec.match.with_in_port(0);
+  spec.actions = {OutputAction::to(1)};
+  f.sw.table().add(spec, f.sim.now());
+}
+
+void set_block_at(SwitchFixture& f, sim::TimePoint at, bool blocked) {
+  f.sim.schedule_at(at, [&f, blocked] {
+    f.sw.receive_port_mod(PortMod{.port = 0, .blocked = blocked});
+  });
+}
+
+TEST(SwitchArrival, BlockDuringThePipelineDoesNotDropAnArrivedPacket) {
+  SwitchFixture f;
+  forward_0_to_1(f);
+  ASSERT_EQ(udp_packet(1, 2).size(), kUdpFrameBytes);
+  f.h0.send(0, udp_packet(1, 2));
+  set_block_at(f, kArrival + sim::Duration::microseconds(5), true);
+  f.sim.run();
+  EXPECT_EQ(f.h1.received.size(), 1u);
+  ASSERT_GE(f.sw.port_rx().size(), 1u);
+  EXPECT_EQ(f.sw.port_rx()[0], 1u);
+  EXPECT_EQ(f.sw.stats().dropped_blocked_port, 0u);
+}
+
+TEST(SwitchArrival, PacketArrivingOnABlockedPortIsDropped) {
+  // Blocked before the arrival; unblocking during the pipeline does not
+  // bring the packet back.
+  SwitchFixture f;
+  forward_0_to_1(f);
+  f.h0.send(0, udp_packet(1, 2));
+  set_block_at(f, kArrival - sim::Duration::nanoseconds(1), true);
+  set_block_at(f, kArrival + sim::Duration::microseconds(5), false);
+  // A second packet, sent after the unblock, goes through.
+  f.sim.schedule_at(kArrival + sim::Duration::microseconds(6),
+                    [&f] { f.h0.send(0, udp_packet(1, 2)); });
+  f.sim.run();
+  EXPECT_EQ(f.sw.stats().dropped_blocked_port, 1u);
+  EXPECT_EQ(f.sw.stats().rx_packets, 1u);
+  EXPECT_EQ(f.h1.received.size(), 1u);
+}
+
+TEST(SwitchArrival, BlockAtTheArrivalInstantFollowsTheEventOrder) {
+  // A block applied at the arrival instant itself takes effect when its
+  // event was scheduled before the packet was sent (it runs first among
+  // the events at that instant), and not when it was scheduled after.
+  {
+    SwitchFixture f;
+    forward_0_to_1(f);
+    set_block_at(f, kArrival, true);
+    f.h0.send(0, udp_packet(1, 2));
+    f.sim.run();
+    EXPECT_EQ(f.sw.stats().dropped_blocked_port, 1u);
+    EXPECT_EQ(f.h1.received.size(), 0u);
+  }
+  {
+    SwitchFixture f;
+    forward_0_to_1(f);
+    f.h0.send(0, udp_packet(1, 2));
+    set_block_at(f, kArrival, true);
+    f.sim.run();
+    EXPECT_EQ(f.sw.stats().dropped_blocked_port, 0u);
+    EXPECT_EQ(f.h1.received.size(), 1u);
+  }
+}
+
+TEST(SwitchArrival, IngressTapFiresAtTheArrivalInstant) {
+  SwitchFixture f;
+  forward_0_to_1(f);
+  std::vector<sim::TimePoint> seen;
+  f.sw.set_ingress_tap([&](device::PortIndex, const net::Packet&) {
+    seen.push_back(f.sim.now());
+  });
+  f.h0.send(0, udp_packet(1, 2));
+  f.sim.run();
+  EXPECT_EQ(seen, std::vector<sim::TimePoint>{kArrival});
+  EXPECT_EQ(f.h1.received.size(), 1u);
+}
+
+TEST(SwitchArrival, ForwardingTimeIsArrivalPlusPipeline) {
+  // With and without a tap armed, the packet leaves the switch exactly
+  // processing_delay after it arrived.
+  for (const bool tapped : {false, true}) {
+    SwitchFixture f;
+    forward_0_to_1(f);
+    if (tapped) f.sw.set_ingress_tap([](device::PortIndex, const net::Packet&) {});
+    f.h0.send(0, udp_packet(1, 2));
+    f.sim.run();
+    ASSERT_EQ(f.h1.received.size(), 1u);
+    EXPECT_EQ(f.sim.now(), kArrival + SwitchProfile{}.processing_delay +
+                               (kArrival - sim::TimePoint::origin()))
+        << "tapped=" << tapped;
+  }
+}
+
+TEST(SwitchArrivalDeathTest, ArmingATapUnderMergedTrafficAborts) {
+  SwitchFixture f;
+  forward_0_to_1(f);
+  f.h0.send(0, udp_packet(1, 2));
+  EXPECT_DEATH(
+      f.sw.set_ingress_tap([](device::PortIndex, const net::Packet&) {}),
+      "merged deliveries are in flight");
+}
+
 }  // namespace
 }  // namespace netco::openflow

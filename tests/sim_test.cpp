@@ -136,6 +136,24 @@ TEST(Simulator, CountsExecutedEvents) {
   EXPECT_EQ(sim.events_executed(), 5u);
 }
 
+TEST(Simulator, OrderPlacesActionsAmongSameInstantEvents) {
+  Simulator sim;
+  EXPECT_EQ(sim.order(), 0u);  // before the first event
+  // Three events at t=5 get seqs 0, 1, 2. Inside the middle one, order()
+  // is 2: an action taken there came after the event keyed seq 0 and
+  // before the one keyed seq 2 (order() <= 2).
+  std::uint64_t inside = 0;
+  sim.schedule_at(TimePoint::from_ns(5), [] {});
+  sim.schedule_at(TimePoint::from_ns(5), [&] { inside = sim.order(); });
+  sim.schedule_at(TimePoint::from_ns(5), [] {});
+  sim.run_until(TimePoint::from_ns(5));
+  EXPECT_EQ(inside, 2u);
+  EXPECT_EQ(sim.order(), 3u);  // last run: seq 2
+  // Moving the clock past the last event puts every event at now() behind.
+  sim.run_until(TimePoint::from_ns(9));
+  EXPECT_EQ(sim.order(), UINT64_MAX);
+}
+
 TEST(Simulator, EventsPendingExcludesCancelledTombstones) {
   Simulator sim;
   EventHandle a = sim.schedule_after(Duration::milliseconds(1), [] {});

@@ -3,6 +3,9 @@
 // under the same seed. The full-length version lives in bench/soak_netco.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "scenario/soak.h"
 
 namespace netco::scenario {
@@ -98,6 +101,58 @@ TEST(SoakSmokeDeathTest, RejectsEmptyRun) {
   SoakOptions options = smoke_options();
   options.packets = 0;
   EXPECT_DEATH(run_soak(options), "NETCO_ASSERT failed");
+}
+
+/// Reads counter `name` from a metrics snapshot ({"counters":{...}}); 0
+/// when absent (the snapshot leaves zero counters out).
+std::uint64_t counter_in(const std::string& metrics_json,
+                         const std::string& name) {
+  const std::string key = "\"" + name + "\":";
+  const std::size_t at = metrics_json.find(key);
+  if (at == std::string::npos) return 0;
+  return std::strtoull(metrics_json.c_str() + at + key.size(), nullptr, 10);
+}
+
+TEST(SoakSmoke, QuickK5SampledStaysWithinItsEventBudget) {
+  // soak_netco's k5-sampled under NETCO_BENCH_QUICK: 10k datagrams, the
+  // sampled fast path, one corrupt swap of replica 2 at 20% of the run,
+  // honest again at 60%. The event count is exact, so this guard cannot
+  // flake; it fails when a change brings back per-hop events (a
+  // transmit-done event per frame, or a separate link-arrival and
+  // pipeline event per switch hop). Measured: 15.27 events per datagram.
+  SoakOptions options;
+  options.k = 5;
+  options.policy = core::ReleasePolicy::kMajority;
+  options.seed = 0xDECAFBAD ^ 5;
+  options.packets = 10'000;
+  options.rate = DataRate::megabits_per_sec(10);
+  options.health.enabled = true;
+  options.sampling.enabled = true;
+  options.protocol_trace_only = true;
+  // The horizon is the packet budget at the offered rate: 1.6 s.
+  const std::int64_t horizon_ns =
+      static_cast<std::int64_t>(options.packets * options.payload_bytes * 8 *
+                                1'000'000'000ULL / options.rate.bps());
+  options.plan.events.push_back(faultinject::FaultEvent{
+      .at_ns = horizon_ns / 5,
+      .kind = faultinject::FaultKind::kBehaviorSwap,
+      .replica = 2,
+      .behavior = faultinject::SwapBehavior::kCorrupt});
+  options.plan.events.push_back(faultinject::FaultEvent{
+      .at_ns = horizon_ns * 3 / 5,
+      .kind = faultinject::FaultKind::kBehaviorSwap,
+      .replica = 2,
+      .behavior = faultinject::SwapBehavior::kHonest});
+
+  const SoakResult result = run_soak(options);
+  ASSERT_TRUE(result.ok()) << "violations=" << result.invariants.violations;
+  ASSERT_GT(result.datagrams_sent, 0u);
+  const double events_per_datagram =
+      static_cast<double>(
+          counter_in(result.metrics_json, "sim.events_executed")) /
+      static_cast<double>(result.datagrams_sent);
+  EXPECT_GT(events_per_datagram, 1.0);  // the counter was found
+  EXPECT_LE(events_per_datagram, 15.5);
 }
 
 }  // namespace
